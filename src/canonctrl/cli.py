@@ -17,10 +17,10 @@ import sys
 from pathlib import Path
 
 from . import canonical, harness, lti_core, signal
-from .errors import HorizonError
-from .implementability import DataBundle, InvariantBounds, check_data, reference_basis
+from .errors import NumericalDegeneracyError
+from .implementability import DataBundle, InvariantBounds, check_data
 from .signal import Partition
-from .subspace import RankTolerance, orthonormal_basis
+from .subspace import RankTolerance
 
 
 def _parse_picks(value) -> tuple[int, ...]:
@@ -109,28 +109,17 @@ def cmd_synth(args) -> int:
     out = Path(_opt(args, "out", required=True))
     rank_tol = RankTolerance()
     verdict = check_data(bundle, rank_tol, residual_tol)
-
-    q_w, q_c, L = bundle.partition.n_w, bundle.partition.n_c, bundle.L
-    plan = canonical.PermutationPlan(q_w, q_c, L)
-    arranged = signal.arrange_by_partition(bundle.plant_traj, bundle.partition)
-    P_p = canonical.plant_projector(arranged, L, rank_tol)
-    P_r = canonical.reference_lift_projector(bundle.ref_traj, q_c, L, plan, rank_tol)
-    ctrl = canonical.controller_basis(P_r, P_p, plan, rank_tol)
+    syn = canonical.synthesize(bundle, rank_tol, residual_tol)
+    ctrl = syn.controller
     canonical.write_controller_csv(out, ctrl)
-
-    P_basis = orthonormal_basis(signal.hankel(arranged, L), rank_tol)
-    R_basis = reference_basis(bundle.ref_traj, L, rank_tol)
-    verified, report = canonical.verify_closed_loop(
-        P_basis, ctrl, R_basis, plan, rank_tol, residual_tol
-    )
     _print_json(
         {
             "verdict": verdict.to_dict(),
-            "controller": {"written": str(out), "rank": ctrl.dim, "k": q_c, "L": L},
-            "closed_loop": report.to_dict(),
+            "controller": {"written": str(out), "rank": ctrl.dim, "k": ctrl.k, "L": ctrl.L},
+            "closed_loop": syn.report.to_dict(),
         }
     )
-    return 0 if verified else 1
+    return 0 if syn.verified else 1
 
 
 def cmd_proptest(args) -> int:
@@ -207,10 +196,13 @@ def main(argv=None) -> int:
     try:
         _load_config(args)
         return args.func(args)
-    except HorizonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (
+        ValueError,
+        OSError,
+        KeyError,
+        json.JSONDecodeError,
+        NumericalDegeneracyError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

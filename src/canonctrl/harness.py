@@ -13,22 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import (
-    PermutationPlan,
-    controller_basis,
-    controller_basis_intersection_route,
-    plant_projector,
-    reference_lift_projector,
-    verify_closed_loop,
-)
+from .canonical import controller_basis_intersection_route, synthesize
 from .errors import GenerationError, MinimalityError
-from .implementability import (
-    DataBundle,
-    InvariantBounds,
-    check_data,
-    check_model,
-    reference_basis,
-)
+from .implementability import DataBundle, InvariantBounds, check_data, check_model
 from .lti_core import (
     StateSpaceModel,
     invariants_of,
@@ -37,13 +24,12 @@ from .lti_core import (
     random_minimal_model,
     simulate,
 )
-from .signal import Partition, Trajectory, arrange_by_partition, hankel, is_gpe
+from .signal import Partition, Trajectory, is_gpe
 from .subspace import (
     DEFAULT_ANGLE_TOL,
     DEFAULT_RANK_TOL,
     DEFAULT_RESIDUAL_TOL,
     RankTolerance,
-    orthonormal_basis,
     subspaces_equal,
 )
 
@@ -423,30 +409,22 @@ def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResul
         if max(vd.residual_hidden_in_ref, vd.residual_ref_in_plant) > cfg.residual_tol:
             failures.append("certificate_residuals")
     if vm.implementable and vd.implementable:
-        failures.extend(_synthesis_checks(case, cfg))
+        failures.extend(_synthesis_checks(bundle, cfg))
     return CaseResult(case.seed, case.kind, vd.implementable, vm.implementable, failures)
 
 
-def _synthesis_checks(case: Case, cfg: HarnessConfig) -> list[str]:
+def _synthesis_checks(bundle: DataBundle, cfg: HarnessConfig) -> list[str]:
     failures: list[str] = []
-    q_w, q_c, L = case.wc_partition.n_w, case.wc_partition.n_c, case.L
-    plan = PermutationPlan(q_w, q_c, L)
-    arranged = arrange_by_partition(case.plant_traj, case.wc_partition)
-    P_p = plant_projector(arranged, L, cfg.rank_tol)
-    P_r = reference_lift_projector(case.ref_traj, q_c, L, plan, cfg.rank_tol)
-    ctrl = controller_basis(P_r, P_p, plan, cfg.rank_tol)
-    ctrl_via_intersection = controller_basis_intersection_route(P_r, P_p, plan, cfg.rank_tol)
+    syn = synthesize(bundle, cfg.rank_tol, cfg.angle_tol)
+    ctrl_via_intersection = controller_basis_intersection_route(
+        syn.P_r, syn.P_p, syn.plan, cfg.rank_tol
+    )
     routes_agree, _ = subspaces_equal(
-        ctrl.basis, ctrl_via_intersection.basis, cfg.angle_tol
+        syn.controller.basis, ctrl_via_intersection.basis, cfg.angle_tol
     )
     if not routes_agree:
         failures.append("synthesis_routes_agree")
-    P_basis = orthonormal_basis(hankel(arranged, L), cfg.rank_tol)
-    R_basis = reference_basis(case.ref_traj, L, cfg.rank_tol)
-    verified, _ = verify_closed_loop(
-        P_basis, ctrl, R_basis, plan, cfg.rank_tol, cfg.angle_tol
-    )
-    if not verified:
+    if not syn.verified:
         failures.append("closed_loop_exact")
     return failures
 

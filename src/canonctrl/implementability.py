@@ -6,6 +6,10 @@ and the uncontrolled plant behavior P_w -- and decides implementability by
 testing the inclusion chain N ⊆ R ⊆ P_w through least-squares residuals.
 The model route computes the same three subspaces exactly from state-space
 oracles; the two must agree whenever the data is sufficiently exciting.
+
+Every data subspace is an image of a Hankel matrix and is computed in the
+window space: each Hankel matrix is factored into an orthonormal image
+basis first, and no matrix is ever indexed by data length on both sides.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import lti_core
 from .errors import DimensionError, HorizonError
-from .signal import Partition, Trajectory, hankel, is_gpe, select_channels
+from .signal import Partition, Trajectory, channel_rows, hankel, is_gpe, select_channels
 from .subspace import (
     DEFAULT_RANK_TOL,
     DEFAULT_RESIDUAL_TOL,
@@ -122,23 +126,26 @@ def hidden_basis(
 ) -> BehaviorBasis:
     """Data representation of the hidden behavior over horizon L.
 
-    Annihilates the c-window coefficients: image of
-    H_L(w) (I - H_L(c)^+ H_L(c)), ambient |w| L.
+    The hidden behavior is the image of H_L(w) (I - H_L(c)^+ H_L(c)): the
+    w-windows whose c-windows vanish, ambient |w| L.  With U an orthonormal
+    image basis of the joint Hankel matrix H_L(w, c) = U C (C of full row
+    rank), the same subspace is the image of U_w (I - U_c^+ U_c), where
+    U_w, U_c are the w and c rows of U.  So the annihilator is formed in
+    the r x r coefficient space of U, not the T x T column space of H.
     """
     partition.require_control_split()
     if plant_traj.q != partition.total:
         raise DimensionError(
             f"plant has {plant_traj.q} channels, partition {partition.total}"
         )
-    w = select_channels(plant_traj, partition.picks_w)
-    c = select_channels(plant_traj, partition.picks_c)
-    Hw = hankel(w, L)
-    Hc = hankel(c, L)
-    annihilator = np.eye(Hc.shape[1]) - pinv(Hc, tol) @ Hc
-    # rank cutoff anchored at the data scale: the product is numerically zero
-    # whenever the hidden behavior is trivial
-    scale = float(np.linalg.norm(Hw, 2))
-    return orthonormal_basis(Hw @ annihilator, tol, scale=scale)
+    U = orthonormal_basis(hankel(plant_traj, L), tol).basis
+    Uw = U[channel_rows(partition.picks_w, partition.total, L)]
+    Uc = U[channel_rows(partition.picks_c, partition.total, L)]
+    # blocks of an orthonormal U live on the 0..1 scale, so both cutoffs are
+    # anchored at 1: rounding-level rows (c ≡ 0) do not count as rank, and the
+    # product is numerically zero whenever the hidden behavior is trivial
+    annihilator = np.eye(U.shape[1]) - pinv(Uc, tol, scale=1.0) @ Uc
+    return orthonormal_basis(Uw @ annihilator, tol, scale=1.0)
 
 
 def reference_basis(

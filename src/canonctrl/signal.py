@@ -109,16 +109,15 @@ def hankel(w: Trajectory, L: int) -> np.ndarray:
     """Depth-L Hankel matrix of w, shape (q*L, T-L+1).
 
     Column j (1-based) is the window (w(j), ..., w(j+L-1)) stacked
-    time-major with channels contiguous per sample.
+    time-major with channels contiguous per sample.  Entry (t*q + i, j) is
+    sample j + t of channel i, so H is a read-only strided view of w's
+    (immutable) samples; nothing is copied.
     """
     if not 1 <= L <= w.T:
         raise ValueError(f"L={L} outside [1, {w.T}]")
-    T, q = w.T, w.q
-    cols = T - L + 1
-    H = np.empty((q * L, cols))
-    for j in range(cols):
-        H[:, j] = w.values[j : j + L].reshape(-1)
-    return H
+    # windows[j, i, t] = w(j + t)_i; axes (t, i) merge into one row axis
+    windows = np.lib.stride_tricks.sliding_window_view(w.values, L, axis=0)
+    return windows.transpose(2, 1, 0).reshape(w.q * L, -1)
 
 
 def is_gpe(

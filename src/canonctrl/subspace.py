@@ -4,7 +4,9 @@ Subspaces of R^d are carried around as orthonormal-column matrices
 (:class:`BehaviorBasis`) or as orthogonal projectors (:class:`Projector`).
 Everything is SVD-based; rank decisions go through a single
 :class:`RankTolerance` rule so the whole package cuts singular values the
-same way.
+same way.  Wide matrices (data Hankel matrices have far more columns than
+rows) are reduced to a square factor by a QR factorization of their
+transpose before the SVD, which then never sees the long dimension.
 """
 
 from __future__ import annotations
@@ -43,11 +45,23 @@ class RankTolerance:
         M = np.asarray(M, dtype=float)
         if M.size == 0:
             return 0
-        s = np.linalg.svd(M, compute_uv=False)
+        s = np.linalg.svd(_thin_factor(M), compute_uv=False)
         return int(np.count_nonzero(s > self.cutoff(s[0], M.shape)))
 
 
 DEFAULT_RANK_TOL = RankTolerance()
+
+
+def _thin_factor(M: np.ndarray) -> np.ndarray:
+    """A matrix with M's left singular vectors and singular values.
+
+    A wide M = R^T Q^T (QR of M^T) shares them with the rows x rows factor
+    R^T, so the SVD never touches the long dimension.  Below 1.5 columns
+    per row the extra QR costs more than it saves, and M passes through.
+    """
+    if 2 * M.shape[1] > 3 * M.shape[0]:
+        return np.linalg.qr(M.T, mode="r").T
+    return M
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,10 +138,8 @@ def orthonormal_basis(
         raise DimensionError(f"expected a matrix, got ndim={M.ndim}")
     if M.shape[1] == 0 or M.size == 0:
         return BehaviorBasis(M.shape[0], np.zeros((M.shape[0], 0)), tol)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    anchor = s[0] if s.size else 0.0
-    if scale is not None:
-        anchor = max(anchor, scale)
+    U, s, _ = np.linalg.svd(_thin_factor(M), full_matrices=False)
+    anchor = max(s[0] if s.size else 0.0, scale or 0.0)
     r = int(np.count_nonzero(s > tol.cutoff(anchor, M.shape)))
     return BehaviorBasis(M.shape[0], U[:, :r].copy(), tol)
 
@@ -137,13 +149,21 @@ def image_basis(P: Projector, tol: RankTolerance = DEFAULT_RANK_TOL) -> Behavior
     return orthonormal_basis(P.matrix, tol, scale=1.0)
 
 
-def pinv(M: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with the package rank rule."""
+def pinv(
+    M: np.ndarray,
+    tol: RankTolerance = DEFAULT_RANK_TOL,
+    scale: float | None = None,
+) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with the package rank rule.
+
+    `scale` anchors the cutoff as in :func:`orthonormal_basis`: singular
+    values are compared against max(sigma_max, scale).
+    """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]))
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cut = tol.cutoff(s[0] if s.size else 0.0, M.shape)
+    cut = tol.cutoff(max(s[0] if s.size else 0.0, scale or 0.0), M.shape)
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return (Vt.T * inv) @ U.T
 

@@ -17,11 +17,12 @@ from canonctrl.canonical import (
     read_controller_csv,
     reference_lift_projector,
     sample_controller_trajectory,
+    synthesize,
     verify_closed_loop,
     write_controller_csv,
 )
 from canonctrl.errors import DimensionError, EmptyBasisError
-from canonctrl.implementability import reference_basis
+from canonctrl.implementability import DataBundle, reference_basis
 from canonctrl.lti_core import (
     free_model,
     invariants_of,
@@ -300,6 +301,54 @@ class TestVerifyClosedLoop:
         report = ClosedLoopReport(True, 0.0, (0.0,), 1, 1)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["verified"] is True
+
+
+class TestSynthesize:
+    def test_static_plant_decaying_reference(self):
+        plant, partition = harness.static_plant()
+        bundle = DataBundle(
+            harness.plant_data(plant, 40, seed=3),
+            harness.decaying_reference_data(40),
+            2,
+            partition,
+        )
+        syn = synthesize(bundle)
+        assert syn.verified and syn.report.verified
+        expected = orthonormal_basis(np.array([[1.0], [0.5]]))
+        assert subspaces_equal(syn.controller.basis, expected)[0]
+
+    def test_integrator_decaying_reference_not_verified(self):
+        plant, partition = harness.integrator_plant()
+        bundle = DataBundle(
+            harness.plant_data(plant, 40, seed=3),
+            harness.decaying_reference_data(40),
+            2,
+            partition,
+        )
+        syn = synthesize(bundle)
+        assert not syn.verified
+        assert syn.report.max_angle > 1e-8
+
+    def test_matches_step_by_step_sequence(self):
+        for seed in (6000, 6002, 6004):
+            case = harness.build_case(seed, "closed_loop")
+            bundle = DataBundle(
+                case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
+            )
+            syn = synthesize(bundle)
+            plan = PermutationPlan(case.wc_partition.n_w, case.wc_partition.n_c, case.L)
+            arranged = arrange_by_partition(case.plant_traj, case.wc_partition)
+            P_p = plant_projector(arranged, case.L)
+            ctrl = controller_basis(
+                reference_lift_projector(case.ref_traj, plan.k, case.L, plan), P_p, plan
+            )
+            assert syn.plan == plan
+            assert subspaces_equal(syn.controller.basis, ctrl.basis)[0]
+            # the plant basis read off P_p is the Hankel image
+            assert subspaces_equal(
+                image_basis(P_p), orthonormal_basis(hankel(arranged, case.L))
+            )[0]
+            assert syn.verified, seed
 
 
 class TestSampling:

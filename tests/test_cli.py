@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from canonctrl import harness, lti_core, signal
+from canonctrl import canonical, harness, lti_core, signal
 from canonctrl.cli import main
+from canonctrl.errors import NumericalDegeneracyError
 
 
 def run_cli(args, capsys):
@@ -207,6 +208,22 @@ class TestSynth:
         assert code == 0
         payload = json.loads(stdout)
         assert payload["controller"]["rank"] == 2  # all of the c window space
+
+
+    def test_numerical_degeneracy_is_an_input_error(
+        self, tmp_path, fixtures, capsys, monkeypatch
+    ):
+        def degenerate(*args, **kwargs):
+            raise NumericalDegeneracyError("projector not idempotent: defect 1e-3")
+
+        monkeypatch.setattr(canonical, "controller_basis", degenerate)
+        args = check_args(fixtures, "static_data", 0, 0)
+        args[0] = "synth"
+        args += ["--out", str(tmp_path / "controller.csv")]
+        code, stdout, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: projector not idempotent")
 
 
 class TestProptest:

@@ -120,6 +120,19 @@ class TestHankel:
         with pytest.raises(ValueError):
             hankel(scalar(1, 2), 3)
 
+    def test_matches_column_definition(self, rng):
+        for T, q, L in ((30, 3, 5), (17, 2, 17), (9, 4, 1), (40, 1, 12)):
+            w = Trajectory(rng.standard_normal((T, q)))
+            expected = np.column_stack(
+                [w.values[j : j + L].reshape(-1) for j in range(T - L + 1)]
+            )
+            assert np.array_equal(hankel(w, L), expected)
+
+    def test_is_a_read_only_view(self):
+        H = hankel(scalar(1, 2, 3, 4), 2)
+        with pytest.raises(ValueError):
+            H[0, 0] = 9.0
+
     @given(trajectories(), st.data())
     @settings(max_examples=40)
     def test_block_structure(self, w, data):

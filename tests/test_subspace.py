@@ -80,6 +80,49 @@ class TestOrthonormalBasis:
         assert orthonormal_basis(noise, scale=1.0).dim == 0
 
 
+def wide_matrix(rng, rows, cols, spectrum, zero_rows=()):
+    """rows x cols matrix with the given singular values; `zero_rows` are exactly zero."""
+    live = [i for i in range(rows) if i not in zero_rows]
+    U, _ = np.linalg.qr(rng.standard_normal((len(live), len(spectrum))))
+    V, _ = np.linalg.qr(rng.standard_normal((cols, len(spectrum))))
+    M = np.zeros((rows, cols))
+    M[live] = (U * spectrum) @ V.T
+    return M
+
+
+class TestWideMatrices:
+    """Wide inputs go through a QR of the transpose; the answers match a direct SVD.
+
+    Every case has more than 1.5 columns per row, so it takes the QR route.
+    """
+
+    CASES = (
+        (12, 300, [5.0, 2.0, 1.0, 0.5]),
+        (20, 500, [1e3, 1.0, 1e-2, 1e-4, 1e-6]),
+        (8, 13, list(np.geomspace(1.0, 1e-5, 8))),
+    )
+
+    def test_rank_and_subspace_match_direct_svd(self, rng):
+        tol = RankTolerance()
+        for rows, cols, spectrum in self.CASES:
+            for zero_rows in ((), (0, rows - 1)):
+                M = wide_matrix(rng, rows, cols, spectrum[: rows - len(zero_rows)], zero_rows)
+                U, s, _ = np.linalg.svd(M, full_matrices=False)
+                r = int(np.count_nonzero(s > tol.cutoff(s[0], M.shape)))
+                B = orthonormal_basis(M, tol)
+                assert tol.rank(M) == B.dim == r
+                direct = BehaviorBasis(rows, U[:, :r])
+                assert subspaces_equal(B, direct, 1e-10)[0]
+                assert np.abs(B.basis[list(zero_rows)]).max(initial=0.0) < 1e-10
+
+    def test_zero_and_single_row(self, rng):
+        assert RankTolerance().rank(np.zeros((3, 50))) == 0
+        assert orthonormal_basis(np.zeros((3, 50))).dim == 0
+        row = rng.standard_normal((1, 40))
+        assert RankTolerance().rank(row) == 1
+        assert np.allclose(np.abs(orthonormal_basis(row).basis), 1.0)
+
+
 class TestPinv:
     def test_diagonal(self):
         assert np.allclose(pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
@@ -97,6 +140,11 @@ class TestPinv:
             assert np.linalg.norm(P @ M @ P - P) < 1e-8 * np.linalg.norm(P)
             assert np.linalg.norm((M @ P).T - M @ P) < 1e-8
             assert np.linalg.norm((P @ M).T - P @ M) < 1e-8
+
+    def test_scale_anchor_drops_rounding_level_values(self, rng):
+        noise = 1e-14 * rng.standard_normal((4, 3))
+        assert np.abs(pinv(noise)).max() > 1e12
+        assert np.array_equal(pinv(noise, scale=1.0), np.zeros((3, 4)))
 
     def test_symmetric_variant_matches_and_stays_symmetric(self, rng):
         S = rng.standard_normal((6, 6))
