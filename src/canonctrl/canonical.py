@@ -3,8 +3,9 @@
 The controller's finite-horizon behavior is the c-coordinate image of the
 intersection of the plant's restricted behavior with the lift of the
 reference (reference on w, anything on c).  All projector algebra happens in
-the canonical interleaved layout; block-ordered constructions are moved over
-by an explicit :class:`PermutationPlan` rather than implicit reshaping.
+the canonical interleaved layout: the lifts place their blocks directly at
+the w and c positions that :class:`PermutationPlan` reads off
+:func:`canonctrl.signal.channel_rows`.
 
 Trajectories entering this module must already carry their channels in
 (w-block, c-block) order; use :func:`canonctrl.signal.arrange_by_partition`.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyBasisError
 from .implementability import DataBundle, reference_basis
-from .signal import Trajectory, arrange_by_partition, hankel
+from .signal import Trajectory, arrange_by_partition, channel_rows, hankel
 from .subspace import (
     DEFAULT_ANGLE_TOL,
     DEFAULT_RANK_TOL,
@@ -42,10 +43,10 @@ from .subspace import (
 
 @dataclass(frozen=True)
 class PermutationPlan:
-    """Bookkeeping between block layout and canonical interleaved layout.
+    """Positions of the w and c coordinates in the canonical interleaved layout.
 
+    Canonical layout interleaves per time step: (w(1), c(1), ..., w(L), c(L)).
     Block layout stacks all w samples (qL entries) then all c samples (kL);
-    canonical layout interleaves per time step: (w(1), c(1), ..., w(L), c(L)).
     `perm` maps positions so that canonical_vec = block_vec[perm].
     """
 
@@ -62,51 +63,22 @@ class PermutationPlan:
         return (self.q + self.k) * self.L
 
     @cached_property
-    def perm(self) -> np.ndarray:
-        q, k, L = self.q, self.k, self.L
-        perm = np.empty((q + k) * L, dtype=int)
-        for t in range(L):
-            perm[t * (q + k) : t * (q + k) + q] = np.arange(t * q, (t + 1) * q)
-            perm[t * (q + k) + q : (t + 1) * (q + k)] = q * L + np.arange(
-                t * k, (t + 1) * k
-            )
-        return perm
-
-    @cached_property
-    def inverse_perm(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
-        return inv
-
-    @cached_property
     def w_rows(self) -> np.ndarray:
         """Canonical-layout positions of the w coordinates."""
-        return np.array(
-            [t * (self.q + self.k) + j for t in range(self.L) for j in range(self.q)],
-            dtype=int,
-        )
+        return channel_rows(tuple(range(1, self.q + 1)), self.q + self.k, self.L)
 
     @cached_property
     def c_rows(self) -> np.ndarray:
         """Canonical-layout positions of the c coordinates."""
-        return np.array(
-            [
-                t * (self.q + self.k) + self.q + j
-                for t in range(self.L)
-                for j in range(self.k)
-            ],
-            dtype=int,
-        )
+        picks = tuple(range(self.q + 1, self.q + self.k + 1))
+        return channel_rows(picks, self.q + self.k, self.L)
 
-    def to_canonical(self, block_vec: np.ndarray) -> np.ndarray:
-        return np.asarray(block_vec)[self.perm]
-
-    def to_block(self, canonical_vec: np.ndarray) -> np.ndarray:
-        return np.asarray(canonical_vec)[self.inverse_perm]
-
-    def conjugate_to_canonical(self, block_matrix: np.ndarray) -> np.ndarray:
-        """Similarity transform of an operator from block to canonical layout."""
-        return np.asarray(block_matrix)[np.ix_(self.perm, self.perm)]
+    @cached_property
+    def perm(self) -> np.ndarray:
+        perm = np.empty(self.ambient_dim, dtype=int)
+        perm[self.w_rows] = np.arange(self.q * self.L)
+        perm[self.c_rows] = self.q * self.L + np.arange(self.k * self.L)
+        return perm
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,17 +140,16 @@ def reference_lift_projector(
 ) -> Projector:
     """Projector onto (reference windows) x (anything on c), canonical layout.
 
-    Built block-diagonally from the reference Hankel image and an identity
-    on the c coordinates, then conjugated into the interleaved layout.
+    The reference Hankel image's projector fills the (w, w) positions and
+    an identity the (c, c) positions.
     """
     if plan.q != ref_traj.q or plan.k != k or plan.L != L:
         raise DimensionError("plan does not match (q, k, L) of the inputs")
     QR = orthonormal_basis(hankel(ref_traj, L), tol).basis
-    qL, kL = plan.q * L, k * L
-    block = np.zeros((qL + kL, qL + kL))
-    block[:qL, :qL] = QR @ QR.T
-    block[qL:, qL:] = np.eye(kL)
-    return Projector(plan.conjugate_to_canonical(block))
+    P = np.zeros((plan.ambient_dim, plan.ambient_dim))
+    P[np.ix_(plan.w_rows, plan.w_rows)] = QR @ QR.T
+    P[plan.c_rows, plan.c_rows] = 1.0
+    return Projector(P)
 
 
 def controller_basis(
@@ -226,12 +197,11 @@ def lift_controller(
     C: ControllerBasis, plan: PermutationPlan, tol: RankTolerance = DEFAULT_RANK_TOL
 ) -> BehaviorBasis:
     """Lift a controller subspace to (anything on w) x C, canonical layout."""
-    qL, kL = plan.q * plan.L, plan.k * plan.L
-    Qc = C.basis.basis
-    block = np.zeros((qL + kL, qL + Qc.shape[1]))
-    block[:qL, :qL] = np.eye(qL)
-    block[qL:, qL:] = Qc
-    return orthonormal_basis(block[plan.perm, :], tol)
+    qL, Qc = plan.q * plan.L, C.basis.basis
+    lift = np.zeros((plan.ambient_dim, qL + Qc.shape[1]))
+    lift[plan.w_rows, np.arange(qL)] = 1.0
+    lift[plan.c_rows, qL:] = Qc
+    return orthonormal_basis(lift, tol)
 
 
 def verify_closed_loop(

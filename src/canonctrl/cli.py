@@ -109,7 +109,7 @@ def cmd_synth(args) -> int:
     out = Path(_opt(args, "out", required=True))
     rank_tol = RankTolerance()
     verdict = check_data(bundle, rank_tol, residual_tol)
-    syn = canonical.synthesize(bundle, rank_tol, residual_tol)
+    syn = canonical.synthesize(bundle, rank_tol, angle_tol=residual_tol)
     ctrl = syn.controller
     canonical.write_controller_csv(out, ctrl)
     _print_json(
@@ -166,7 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lag-bound", dest="lag_bound", type=int, help="bound on the largest lag")
         p.add_argument("--m-bound", dest="m_bound", help="input-count bound(s): 'm' or 'm_plant,m_ref'")
         p.add_argument("--n-bound", dest="n_bound", help="order bound(s): 'n' or 'n_plant,n_ref'")
-        p.add_argument("--tol", type=float, help="inclusion residual tolerance (default 1e-8)")
+        p.add_argument(
+            "--tol",
+            type=float,
+            help="inclusion residual tolerance (default 1e-8); for synth also the "
+            "closed-loop principal-angle tolerance",
+        )
         add_common(p)
 
     p_check = sub.add_parser("check", help="data-driven implementability verdict")

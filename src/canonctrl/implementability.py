@@ -29,7 +29,7 @@ from .subspace import (
     RankTolerance,
     is_subspace_of,
     orthonormal_basis,
-    pinv,
+    zero_section,
 )
 
 
@@ -132,20 +132,19 @@ def hidden_basis(
     rank), the same subspace is the image of U_w (I - U_c^+ U_c), where
     U_w, U_c are the w and c rows of U.  So the annihilator is formed in
     the r x r coefficient space of U, not the T x T column space of H.
+    The model oracle applies the same :func:`~canonctrl.subspace.zero_section`.
     """
     partition.require_control_split()
     if plant_traj.q != partition.total:
         raise DimensionError(
             f"plant has {plant_traj.q} channels, partition {partition.total}"
         )
-    U = orthonormal_basis(hankel(plant_traj, L), tol).basis
-    Uw = U[channel_rows(partition.picks_w, partition.total, L)]
-    Uc = U[channel_rows(partition.picks_c, partition.total, L)]
-    # blocks of an orthonormal U live on the 0..1 scale, so both cutoffs are
-    # anchored at 1: rounding-level rows (c ≡ 0) do not count as rank, and the
-    # product is numerically zero whenever the hidden behavior is trivial
-    annihilator = np.eye(U.shape[1]) - pinv(Uc, tol, scale=1.0) @ Uc
-    return orthonormal_basis(Uw @ annihilator, tol, scale=1.0)
+    return zero_section(
+        orthonormal_basis(hankel(plant_traj, L), tol).basis,
+        channel_rows(partition.picks_w, partition.total, L),
+        channel_rows(partition.picks_c, partition.total, L),
+        tol,
+    )
 
 
 def reference_basis(

@@ -4,7 +4,8 @@ Models here are the ground truth against which all data-driven
 representations are cross-checked: a minimal (A, B, C, D) realization plus a
 placement of its inputs/outputs in the full variable vector.  Restricted
 behaviors are built column-by-column by simulation, never through kernel
-representations.
+representations.  The hidden behavior is the window-space section
+:func:`~canonctrl.subspace.zero_section` that the data route also uses.
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from .subspace import (
     DEFAULT_RANK_TOL,
     BehaviorBasis,
     RankTolerance,
-    image_basis,
-    intersect,
     orthonormal_basis,
-    projector_onto,
+    zero_section,
 )
 
 
@@ -250,25 +249,20 @@ def hidden_restricted_basis(
 ) -> BehaviorBasis:
     """Windows of the plant's w-variables compatible with the c-variables pinned to zero.
 
-    Realized by intersecting the full restricted behavior with the subspace
-    {c-coordinates = 0} and reading off the w-coordinates (ambient = |w| L).
+    The w rows of the restricted behavior's vectors that vanish on the c
+    rows (ambient |w| L), by the window-space section the data route uses.
     """
     wc_partition.require_control_split()
     if wc_partition.total != model.q:
         raise DimensionError(
             f"partition covers {wc_partition.total} channels, model has {model.q}"
         )
-    q_total = model.q
-    w_rows = channel_rows(wc_partition.picks_w, q_total, L)
-    plant = restricted_behavior_basis(model, L, tol)
-    E = np.zeros((q_total * L, w_rows.size))
-    E[w_rows, np.arange(w_rows.size)] = 1.0
-    zero_c = orthonormal_basis(E, tol)
-    P_hidden_full = intersect(projector_onto(plant), projector_onto(zero_c), tol)
-    image = image_basis(P_hidden_full, tol)
-    # intersection vectors vanish on the c coordinates, so the w-row
-    # selection is norm-preserving
-    return orthonormal_basis(image.basis[w_rows, :], tol)
+    return zero_section(
+        restricted_behavior_basis(model, L, tol).basis,
+        channel_rows(wc_partition.picks_w, model.q, L),
+        channel_rows(wc_partition.picks_c, model.q, L),
+        tol,
+    )
 
 
 def projected_invariants(
@@ -280,15 +274,19 @@ def projected_invariants(
 
     Detected from the dimension profile d(L) of the projected restricted
     bases: above the projected lag, d(L) is affine with slope = input count
-    and intercept = order.
+    and intercept = order.  The system is causal, so the depth-L window map
+    is the leading qL x (n + mL) block of the depth-L_hi map, and one map
+    serves every depth.
     """
     L_hi = max(3, 2 * model.n + 4)
+    M = behavior_window_map(model, L_hi)
+    n, m = model.n, model.m
     dims = [0] + [
-        projected_restricted_basis(model, picks, L, tol).dim
+        orthonormal_basis(M[channel_rows(picks, model.q, L), : n + m * L], tol).dim
         for L in range(1, L_hi + 1)
     ]
     diffs = [dims[L + 1] - dims[L] for L in range(1, L_hi)]
-    settle = max(2, model.n + 2)
+    settle = max(2, n + 2)
     tail = diffs[-settle:]
     if len(set(tail)) != 1:
         raise ValueError("dimension profile did not settle; cannot detect invariants")

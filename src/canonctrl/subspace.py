@@ -168,6 +168,26 @@ def pinv(
     return (Vt.T * inv) @ U.T
 
 
+def zero_section(
+    U: np.ndarray,
+    keep_rows: np.ndarray,
+    zero_rows: np.ndarray,
+    tol: RankTolerance = DEFAULT_RANK_TOL,
+) -> BehaviorBasis:
+    """The keep_rows of the vectors in Image U that vanish on zero_rows.
+
+    U has orthonormal columns.  U a vanishes on zero_rows exactly when a is
+    in ker U_z, so the section is the image of U_k (I - U_z^+ U_z): an r x r
+    annihilator in U's coefficient space.  Blocks of an orthonormal U live
+    on the 0..1 scale, so both cutoffs are anchored at 1: rounding-level
+    rows (an identically zero block) do not count as rank, and the product
+    is numerically zero whenever the section is trivial.
+    """
+    Uz = U[zero_rows]
+    annihilator = np.eye(U.shape[1]) - pinv(Uz, tol, scale=1.0) @ Uz
+    return orthonormal_basis(U[keep_rows] @ annihilator, tol, scale=1.0)
+
+
 def pinv_symmetric(S: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
     """Pseudoinverse of a symmetric matrix via eigendecomposition.
 

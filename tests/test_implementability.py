@@ -206,6 +206,19 @@ class TestCheckModel:
             verdict = check_model(plant, partition, ref, lag + 2)
             assert verdict.implementable, f"seed {seed}"
 
+    def test_nearly_touching_plant_and_zero_c_subspace(self):
+        # harness case 191: the plant's restricted behavior and {c = 0} meet
+        # only in 0 but nearly touch, where a projector intersection of the
+        # two loses the answer; the window-space section keeps it
+        case = harness.build_case(191, "adversarial")
+        model = check_model(case.plant, case.wc_partition, case.ref_model, case.L)
+        assert model.implementable and model.rank_hidden == 0
+        data = check_data(
+            DataBundle(case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds)
+        )
+        assert data.implementable
+        assert data.to_dict()["ranks"] == model.to_dict()["ranks"]
+
     def test_horizon_error(self):
         plant, partition = harness.integrator_plant()
         with pytest.raises(HorizonError):

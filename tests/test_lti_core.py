@@ -289,6 +289,27 @@ class TestProjectionOracles:
                 inv.lag,
             )
 
+    def test_window_map_is_prefix_of_deeper_map(self):
+        for seed in range(20):
+            model, _ = random_minimal_model(2, 2, seed % 4, seed=seed)
+            M_hi = behavior_window_map(model, 7)
+            for L in range(1, 8):
+                lead = M_hi[: model.q * L, : model.n + model.m * L]
+                assert np.array_equal(lead, behavior_window_map(model, L))
+
+    def test_projected_invariants_match_per_depth_dims(self):
+        # the profile read off one deep map equals the per-depth bases'
+        for seed in range(20):
+            model, partition = random_minimal_model(2, 2, seed % 4, seed=seed)
+            inv = projected_invariants(model, partition.picks_w)
+            dims = {
+                L: projected_restricted_basis(model, partition.picks_w, L).dim
+                for L in range(1, 2 * model.n + 5)
+            }
+            for L, d in dims.items():
+                affine = inv.m_inputs * L + inv.n_order
+                assert (d == affine) == (L >= max(inv.lag, 1)), f"seed {seed}, L={L}"
+
     def test_integrator_w_projection_is_free(self):
         model, partition = harness.integrator_plant()
         proj = projected_invariants(model, partition.picks_w)

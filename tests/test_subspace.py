@@ -19,9 +19,10 @@ from canonctrl.subspace import (
     projector_onto,
     subspaces_equal,
     zero_projector,
+    zero_section,
 )
 
-from conftest import kernel_method_intersection
+from conftest import kernel_method_intersection, null_space
 
 
 def span(*cols):
@@ -152,6 +153,51 @@ class TestPinv:
         X = pinv_symmetric(S)
         assert np.array_equal(X, X.T)
         assert np.allclose(X, pinv(S), atol=1e-10)
+
+
+def planted_section(rng, n_keep, n_zero, r, s):
+    """Orthonormal U (rows shuffled) whose image has an s-dim part vanishing on the zero rows.
+
+    Needs r - s <= n_zero, so the other r - s columns add no vanishing direction.
+    """
+    rows = rng.permutation(n_keep + n_zero)
+    keep, zero = rows[:n_keep], rows[n_keep:]
+    M = rng.standard_normal((n_keep + n_zero, r))
+    M[zero, :s] = 0.0
+    return np.linalg.qr(M)[0], keep, zero
+
+
+class TestZeroSection:
+    @pytest.mark.parametrize(
+        "n_keep, n_zero, r, s",
+        [(6, 4, 5, 2), (6, 4, 4, 0), (3, 5, 3, 1), (8, 2, 5, 3), (4, 3, 4, 4)],
+    )
+    def test_matches_kernel_method(self, rng, n_keep, n_zero, r, s):
+        U, keep, zero = planted_section(rng, n_keep, n_zero, r, s)
+        E = np.eye(n_keep + n_zero)[:, keep]  # the subspace {zero rows = 0}
+        oracle = orthonormal_basis(kernel_method_intersection(U, E).basis[keep])
+        section = zero_section(U, keep, zero)
+        assert section.ambient_dim == n_keep
+        assert section.dim == oracle.dim == s
+        assert subspaces_equal(section, oracle)[0]
+
+    def test_matches_null_space_of_zero_rows(self, rng):
+        for _ in range(20):
+            U, keep, zero = planted_section(rng, 7, 5, 6, int(rng.integers(1, 5)))
+            oracle = orthonormal_basis(U[keep] @ null_space(U[zero]))
+            assert subspaces_equal(zero_section(U, keep, zero), oracle)[0]
+
+    def test_identically_zero_block_keeps_everything(self, rng):
+        U = np.zeros((9, 4))
+        U[:6] = np.linalg.qr(rng.standard_normal((6, 4)))[0]
+        section = zero_section(U, np.arange(6), np.arange(6, 9))
+        assert subspaces_equal(section, orthonormal_basis(U[:6]))[0]
+
+    def test_rounding_level_block_counts_as_zero(self, rng):
+        U = np.zeros((9, 4))
+        U[:6] = np.linalg.qr(rng.standard_normal((6, 4)))[0]
+        U[6:] = 1e-15 * rng.standard_normal((3, 4))
+        assert zero_section(U, np.arange(6), np.arange(6, 9)).dim == 4
 
 
 class TestProjector:
