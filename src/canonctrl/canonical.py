@@ -9,7 +9,9 @@ the w and c positions that :class:`PermutationPlan` reads off
 
 Trajectories entering this module must already carry their channels in
 (w-block, c-block) order; use :func:`canonctrl.signal.arrange_by_partition`.
-:func:`synthesize` runs the whole sequence on a measured data bundle.
+:func:`synthesize` runs the whole sequence on a measured data bundle; it
+factors each Hankel matrix once and reads the plant and reference bases of
+the closed-loop check off the two projectors.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def reference_lift_projector(
     """
     if plan.q != ref_traj.q or plan.k != k or plan.L != L:
         raise DimensionError("plan does not match (q, k, L) of the inputs")
-    QR = orthonormal_basis(hankel(ref_traj, L), tol).basis
+    QR = reference_basis(ref_traj, L, tol).basis
     P = np.zeros((plan.ambient_dim, plan.ambient_dim))
     P[np.ix_(plan.w_rows, plan.w_rows)] = QR @ QR.T
     P[plan.c_rows, plan.c_rows] = 1.0
@@ -193,15 +195,18 @@ def controller_basis_intersection_route(
     )
 
 
-def lift_controller(
-    C: ControllerBasis, plan: PermutationPlan, tol: RankTolerance = DEFAULT_RANK_TOL
-) -> BehaviorBasis:
-    """Lift a controller subspace to (anything on w) x C, canonical layout."""
+def lift_controller(C: ControllerBasis, plan: PermutationPlan) -> BehaviorBasis:
+    """Lift a controller subspace to (anything on w) x C, canonical layout.
+
+    Unit columns on the w rows and the controller's orthonormal basis on the
+    c rows: the row sets are disjoint, so the columns are orthonormal as
+    assembled and need no factorization.
+    """
     qL, Qc = plan.q * plan.L, C.basis.basis
     lift = np.zeros((plan.ambient_dim, qL + Qc.shape[1]))
     lift[plan.w_rows, np.arange(qL)] = 1.0
     lift[plan.c_rows, qL:] = Qc
-    return orthonormal_basis(lift, tol)
+    return BehaviorBasis(plan.ambient_dim, lift)
 
 
 def verify_closed_loop(
@@ -222,7 +227,7 @@ def verify_closed_loop(
         raise DimensionError("plant basis ambient does not match the plan")
     if R_basis.ambient_dim != plan.q * plan.L:
         raise DimensionError("reference basis ambient does not match the plan")
-    lift = lift_controller(C, plan, tol)
+    lift = lift_controller(C, plan)
     P_loop = intersect(projector_onto(P_basis), projector_onto(lift), tol)
     loop_image = image_basis(P_loop, tol)
     controlled = orthonormal_basis(loop_image.basis[plan.w_rows, :], tol, scale=1.0)
@@ -259,8 +264,9 @@ def synthesize(
 
     Builds the plant and reference-lift projectors, synthesizes the
     controller, and checks that the plant interconnected with it reproduces
-    the reference.  The plant basis of that check is read off the plant
-    projector rather than factoring the plant Hankel matrix again.
+    the reference.  Each Hankel matrix is factored once: the plant basis of
+    that check is the image of P_p, and the reference basis the image of
+    the (w, w) block of P_r.
     """
     partition, L = bundle.partition, bundle.L
     plan = PermutationPlan(partition.n_w, partition.n_c, L)
@@ -271,7 +277,7 @@ def synthesize(
     verified, report = verify_closed_loop(
         image_basis(P_p, tol),
         ctrl,
-        reference_basis(bundle.ref_traj, L, tol),
+        orthonormal_basis(P_r.matrix[np.ix_(plan.w_rows, plan.w_rows)], tol, scale=1.0),
         plan,
         tol,
         angle_tol,
@@ -296,9 +302,12 @@ def write_controller_csv(path, C: ControllerBasis) -> None:
     """Basis matrix as CSV (kL rows, one column per basis vector) plus sidecar.
 
     The sidecar JSON (same path with .json suffix) records k, L, and the
-    vector layout.
+    vector layout.  A .json path would be its own sidecar, so it is refused
+    before anything is written.
     """
     path = Path(path)
+    if path.suffix == ".json":
+        raise ValueError(f"{path}: a .json path would be overwritten by its own sidecar")
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         for row in C.basis.basis:

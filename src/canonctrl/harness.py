@@ -26,7 +26,6 @@ from .lti_core import (
 )
 from .signal import Partition, Trajectory, is_gpe
 from .subspace import (
-    DEFAULT_ANGLE_TOL,
     DEFAULT_RANK_TOL,
     DEFAULT_RESIDUAL_TOL,
     RankTolerance,
@@ -77,12 +76,10 @@ def decaying_reference_data(T: int, rate: float = 0.5, r1: float = 1.0) -> Traje
     return Trajectory((r1 * rate ** np.arange(T)).reshape(-1, 1))
 
 
-def plant_data(
-    model: StateSpaceModel, T: int, seed: int, x0_scale: float = 1.0
-) -> Trajectory:
+def plant_data(model: StateSpaceModel, T: int, seed: int) -> Trajectory:
     """Seeded random-input simulation of a plant model."""
     rng = np.random.default_rng(seed)
-    x0 = x0_scale * rng.standard_normal(model.n)
+    x0 = rng.standard_normal(model.n)
     if model.m > 0:
         u = Trajectory(rng.standard_normal((T, model.m)))
         return simulate(model, u, x0=x0)
@@ -104,11 +101,10 @@ def gpe_trajectory(
     T: int,
     rng: np.random.Generator,
     rank_tol: RankTolerance = DEFAULT_RANK_TOL,
-    tries: int = 25,
 ) -> Trajectory:
     """Simulate until the trajectory passes the excitation rank test."""
     inv = invariants_of(model)
-    for _ in range(tries):
+    for _ in range(25):
         x0 = rng.standard_normal(model.n)
         if model.m > 0:
             traj = simulate(model, Trajectory(rng.standard_normal((T, model.m))), x0=x0)
@@ -117,7 +113,7 @@ def gpe_trajectory(
         ok, _ = is_gpe(traj, L, inv.m_inputs, inv.n_order, rank_tol)
         if ok:
             return traj
-    raise GenerationError(f"no exciting trajectory of length {T} after {tries} tries")
+    raise GenerationError(f"no exciting trajectory of length {T} after 25 tries")
 
 
 def random_plant(
@@ -125,20 +121,19 @@ def random_plant(
     q_c: int,
     n: int,
     rng: np.random.Generator,
-    tries: int = 50,
 ) -> tuple[StateSpaceModel, Partition]:
     """Random minimal plant whose control block contains at least one input.
 
     The closed-loop reference construction needs an actuated control
     variable; role splits without one are redrawn.
     """
-    for _ in range(tries):
+    for _ in range(50):
         model, partition = random_minimal_model(
             q_w, q_c, n, seed=int(rng.integers(0, 2**63))
         )
         if any(pos in model.input_picks for pos in partition.picks_c):
             return model, partition
-    raise GenerationError(f"no actuated plant split after {tries} draws")
+    raise GenerationError("no actuated plant split after 50 draws")
 
 
 def _stable_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,7 +151,6 @@ def feedback_reference_model(
     wc_partition: Partition,
     n_ctrl: int,
     rng: np.random.Generator,
-    tries: int = 50,
 ) -> StateSpaceModel:
     """Reference implementable by construction: the plant in closed loop
     with a random strictly proper LTI controller on the control variables.
@@ -184,7 +178,7 @@ def feedback_reference_model(
     S_cy = np.zeros((len(cy), p))
     S_cy[np.arange(len(cy)), cy] = 1.0
 
-    for attempt in range(tries):
+    for attempt in range(50):
         Az = _stable_matrix(n_ctrl, rng)
         Bz = rng.standard_normal((n_ctrl, len(cy)))
         # attenuate the loop gain over retries: as it goes to zero the loop
@@ -227,18 +221,16 @@ def feedback_reference_model(
             )
         except MinimalityError:
             continue
-    raise GenerationError(f"no minimal closed-loop reference after {tries} draws")
+    raise GenerationError("no minimal closed-loop reference after 50 draws")
 
 
-def random_reference_model(
-    q: int, n: int, rng: np.random.Generator, tries: int = 100
-) -> StateSpaceModel:
+def random_reference_model(q: int, n: int, rng: np.random.Generator) -> StateSpaceModel:
     """Random stable reference behavior over q channels (adversarial cases).
 
     The input count is drawn from [0, q-1]; input-free draws keep at least
     one state so the behavior is not the zero behavior.
     """
-    for _ in range(tries):
+    for _ in range(100):
         m = int(rng.integers(0, q))
         n_eff = max(n, 1) if m == 0 else n
         p = q - m
@@ -257,14 +249,13 @@ def random_reference_model(
             )
         except MinimalityError:
             continue
-    raise GenerationError(f"no minimal reference after {tries} draws")
+    raise GenerationError("no minimal reference after 100 draws")
 
 
 def random_sub_behavior_model(
     model: StateSpaceModel,
     m_sub: int,
     rng: np.random.Generator,
-    tries: int = 50,
 ) -> StateSpaceModel:
     """Random LTI sub-behavior of a model's behavior, over the same channels.
 
@@ -280,7 +271,7 @@ def random_sub_behavior_model(
     E_s[free, np.arange(m_sub)] = 1.0
     E_r = np.zeros((model.m, len(tied)))
     E_r[tied, np.arange(len(tied))] = 1.0
-    for attempt in range(tries):
+    for attempt in range(50):
         K = rng.standard_normal((len(tied), model.n)) * 0.6**attempt
         G = rng.standard_normal((len(tied), m_sub))
         A_s = model.A + model.B @ E_r @ K
@@ -310,7 +301,7 @@ def random_sub_behavior_model(
             )
         except MinimalityError:
             continue
-    raise GenerationError(f"no minimal sub-behavior after {tries} draws")
+    raise GenerationError("no minimal sub-behavior after 50 draws")
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +313,7 @@ class HarnessConfig:
     q_w_max: int = 2
     q_c_max: int = 2
     n_max: int = 3
-    n_ctrl_max: int = 2
     rank_tol: RankTolerance = DEFAULT_RANK_TOL
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
-    angle_tol: float = DEFAULT_ANGLE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +356,7 @@ def build_case(seed: int, kind: str, cfg: HarnessConfig = HarnessConfig()) -> Ca
     n_p = int(rng.integers(0, cfg.n_max + 1))
     plant, partition = random_plant(q_w, q_c, n_p, rng)
     if kind == "closed_loop":
-        n_ctrl = int(rng.integers(0, cfg.n_ctrl_max + 1))
+        n_ctrl = int(rng.integers(0, 3))  # controller order 0..2
         ref = feedback_reference_model(plant, partition, n_ctrl, rng)
     else:
         ref = random_reference_model(q_w, int(rng.integers(0, cfg.n_max + 1)), rng)
@@ -395,10 +383,8 @@ def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResul
     bundle = DataBundle(
         case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
     )
-    vd = check_data(bundle, cfg.rank_tol, cfg.residual_tol)
-    vm = check_model(
-        case.plant, case.wc_partition, case.ref_model, case.L, cfg.rank_tol, cfg.residual_tol
-    )
+    vd = check_data(bundle, cfg.rank_tol)
+    vm = check_model(case.plant, case.wc_partition, case.ref_model, case.L, cfg.rank_tol)
     if not (vd.gpe_plant and vd.gpe_ref):
         failures.append("gpe_flags")
     if vd.implementable != vm.implementable:
@@ -406,7 +392,7 @@ def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResul
     if case.kind == "closed_loop" and not vm.implementable:
         failures.append("model_positive")
     if vd.implementable:
-        if max(vd.residual_hidden_in_ref, vd.residual_ref_in_plant) > cfg.residual_tol:
+        if max(vd.residual_hidden_in_ref, vd.residual_ref_in_plant) > DEFAULT_RESIDUAL_TOL:
             failures.append("certificate_residuals")
     if vm.implementable and vd.implementable:
         failures.extend(_synthesis_checks(bundle, cfg))
@@ -415,13 +401,11 @@ def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResul
 
 def _synthesis_checks(bundle: DataBundle, cfg: HarnessConfig) -> list[str]:
     failures: list[str] = []
-    syn = synthesize(bundle, cfg.rank_tol, cfg.angle_tol)
+    syn = synthesize(bundle, cfg.rank_tol)
     ctrl_via_intersection = controller_basis_intersection_route(
         syn.P_r, syn.P_p, syn.plan, cfg.rank_tol
     )
-    routes_agree, _ = subspaces_equal(
-        syn.controller.basis, ctrl_via_intersection.basis, cfg.angle_tol
-    )
+    routes_agree, _ = subspaces_equal(syn.controller.basis, ctrl_via_intersection.basis)
     if not routes_agree:
         failures.append("synthesis_routes_agree")
     if not syn.verified:

@@ -29,7 +29,6 @@ from .subspace import (
     RankTolerance,
     is_subspace_of,
     orthonormal_basis,
-    zero_section,
 )
 
 
@@ -132,19 +131,11 @@ def hidden_basis(
     rank), the same subspace is the image of U_w (I - U_c^+ U_c), where
     U_w, U_c are the w and c rows of U.  So the annihilator is formed in
     the r x r coefficient space of U, not the T x T column space of H.
-    The model oracle applies the same :func:`~canonctrl.subspace.zero_section`.
+    U goes to :func:`~canonctrl.lti_core.hidden_restricted_basis`, the
+    section function the model oracle applies to its window map image.
     """
-    partition.require_control_split()
-    if plant_traj.q != partition.total:
-        raise DimensionError(
-            f"plant has {plant_traj.q} channels, partition {partition.total}"
-        )
-    return zero_section(
-        orthonormal_basis(hankel(plant_traj, L), tol).basis,
-        channel_rows(partition.picks_w, partition.total, L),
-        channel_rows(partition.picks_c, partition.total, L),
-        tol,
-    )
+    U = orthonormal_basis(hankel(plant_traj, L), tol)
+    return lti_core.hidden_restricted_basis(U, partition, L, tol)
 
 
 def reference_basis(
@@ -232,8 +223,9 @@ def check_model(
 
     Builds the exact restricted bases of the hidden behavior, the reference,
     and the uncontrolled plant, and tests the same inclusion chain as the
-    data route.  The horizon must exceed all three lags, which are computed
-    from the models.
+    data route.  The plant's depth-L window map is built once: N is its
+    section at c = 0 and P_w the span of its w rows.  The horizon must
+    exceed all three lags, which are computed from the models.
     """
     wc_partition.require_control_split()
     if plant.q != wc_partition.total:
@@ -251,7 +243,9 @@ def check_model(
     )
     if L <= lag_needed:
         raise HorizonError(f"L={L} must exceed the lag bound {lag_needed}")
-    N = lti_core.hidden_restricted_basis(plant, wc_partition, L, rank_tol)
+    U = lti_core.restricted_behavior_basis(plant, L, rank_tol)
+    N = lti_core.hidden_restricted_basis(U, wc_partition, L, rank_tol)
     R = lti_core.restricted_behavior_basis(ref, L, rank_tol)
-    Pw = lti_core.projected_restricted_basis(plant, wc_partition.picks_w, L, rank_tol)
+    w_rows = channel_rows(wc_partition.picks_w, plant.q, L)
+    Pw = orthonormal_basis(U.basis[w_rows], rank_tol, scale=1.0)
     return _verdict_from_bases(N, R, Pw, True, True, residual_tol)

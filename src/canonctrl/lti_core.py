@@ -4,8 +4,10 @@ Models here are the ground truth against which all data-driven
 representations are cross-checked: a minimal (A, B, C, D) realization plus a
 placement of its inputs/outputs in the full variable vector.  Restricted
 behaviors are built column-by-column by simulation, never through kernel
-representations.  The hidden behavior is the window-space section
-:func:`~canonctrl.subspace.zero_section` that the data route also uses.
+representations.  :func:`hidden_restricted_basis` reads the hidden behavior
+off any orthonormal basis of a joint restricted behavior -- the oracle's
+window map image or the data route's Hankel image -- so both routes share
+one section function.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class StateSpaceModel:
     C: np.ndarray
     D: np.ndarray
     partition: Partition
-    tol: RankTolerance = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -83,7 +84,7 @@ class StateSpaceModel:
         D = _shaped(self.D, p, m, "D")
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(self, name, M)
-        if self.tol.rank(observability_matrix(A, C, n)) != n:
+        if DEFAULT_RANK_TOL.rank(observability_matrix(A, C, n)) != n:
             raise MinimalityError("(A, C) is not observable")
 
     @property
@@ -187,7 +188,7 @@ def invariants_of(model: StateSpaceModel) -> IntegerInvariants:
     lag = 0
     if n > 0:
         for depth in range(1, n + 1):
-            if model.tol.rank(observability_matrix(model.A, model.C, depth)) == n:
+            if DEFAULT_RANK_TOL.rank(observability_matrix(model.A, model.C, depth)) == n:
                 lag = depth
                 break
         else:
@@ -242,25 +243,27 @@ def projected_restricted_basis(
 
 
 def hidden_restricted_basis(
-    model: StateSpaceModel,
+    U: BehaviorBasis,
     wc_partition: Partition,
     L: int,
     tol: RankTolerance = DEFAULT_RANK_TOL,
 ) -> BehaviorBasis:
     """Windows of the plant's w-variables compatible with the c-variables pinned to zero.
 
-    The w rows of the restricted behavior's vectors that vanish on the c
-    rows (ambient |w| L), by the window-space section the data route uses.
+    U is an orthonormal basis of the plant's joint restricted behavior over
+    horizon L (ambient |w, c| L): the image of the oracle's window map or of
+    the data Hankel matrix.  Returns the w rows of its vectors that vanish on
+    the c rows (ambient |w| L), by :func:`~canonctrl.subspace.zero_section`.
     """
     wc_partition.require_control_split()
-    if wc_partition.total != model.q:
+    if U.ambient_dim != wc_partition.total * L:
         raise DimensionError(
-            f"partition covers {wc_partition.total} channels, model has {model.q}"
+            f"basis ambient {U.ambient_dim} != {wc_partition.total} channels x L={L}"
         )
     return zero_section(
-        restricted_behavior_basis(model, L, tol).basis,
-        channel_rows(wc_partition.picks_w, model.q, L),
-        channel_rows(wc_partition.picks_c, model.q, L),
+        U.basis,
+        channel_rows(wc_partition.picks_w, wc_partition.total, L),
+        channel_rows(wc_partition.picks_c, wc_partition.total, L),
         tol,
     )
 

@@ -178,12 +178,11 @@ def channel_rows(picks: tuple[int, ...], q_total: int, L: int) -> np.ndarray:
     )
 
 
-def write_csv(path, w: Trajectory, header: bool = True) -> None:
-    """Write one row per sample, one column per channel, backed by repr floats."""
+def write_csv(path, w: Trajectory) -> None:
+    """Write a `ch1,...,chq` header, then one row per sample, backed by repr floats."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        if header:
-            writer.writerow([f"ch{i}" for i in range(1, w.q + 1)])
+        writer.writerow([f"ch{i}" for i in range(1, w.q + 1)])
         for row in w.values:
             writer.writerow([repr(float(x)) for x in row])
 

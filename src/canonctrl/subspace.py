@@ -74,7 +74,6 @@ class BehaviorBasis:
 
     ambient_dim: int
     basis: np.ndarray
-    tol: RankTolerance = DEFAULT_RANK_TOL
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -137,11 +136,11 @@ def orthonormal_basis(
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={M.ndim}")
     if M.shape[1] == 0 or M.size == 0:
-        return BehaviorBasis(M.shape[0], np.zeros((M.shape[0], 0)), tol)
+        return BehaviorBasis(M.shape[0], np.zeros((M.shape[0], 0)))
     U, s, _ = np.linalg.svd(_thin_factor(M), full_matrices=False)
     anchor = max(s[0] if s.size else 0.0, scale or 0.0)
     r = int(np.count_nonzero(s > tol.cutoff(anchor, M.shape)))
-    return BehaviorBasis(M.shape[0], U[:, :r].copy(), tol)
+    return BehaviorBasis(M.shape[0], U[:, :r].copy())
 
 
 def image_basis(P: Projector, tol: RankTolerance = DEFAULT_RANK_TOL) -> BehaviorBasis:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonctrl import harness
+from canonctrl import harness, signal
 from canonctrl.canonical import (
     ClosedLoopReport,
     ControllerBasis,
@@ -98,6 +99,8 @@ class TestPermutationPlan:
         block = scipy.linalg.block_diag(np.eye(6), Qc.basis)
         lift = lift_controller(ControllerBasis(Qc, 1, 3), plan)
         assert subspaces_equal(lift, orthonormal_basis(Pi @ block))[0]
+        # orthonormal as assembled, with no factorization
+        assert np.abs(lift.basis.T @ lift.basis - np.eye(lift.dim)).max() < 1e-14
 
 
 class TestPlantProjector:
@@ -361,6 +364,29 @@ class TestSynthesize:
                 image_basis(P_p), orthonormal_basis(hankel(arranged, case.L))
             )[0]
             assert syn.verified, seed
+
+    def test_one_hankel_matrix_per_trajectory(self, monkeypatch):
+        case = harness.build_case(6000, "closed_loop")
+        bundle = DataBundle(
+            case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
+        )
+        calls = []
+        original = signal.hankel
+
+        def counting(w, L):
+            calls.append(w)
+            return original(w, L)
+
+        # `from .signal import hankel` binds the function in each importer
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "canonctrl" and getattr(mod, "hankel", None) is original:
+                monkeypatch.setattr(mod, "hankel", counting)
+        assert synthesize(bundle).verified
+        assert len(calls) == 2
+        ref_calls = [w for w in calls if w is bundle.ref_traj]
+        plant_calls = [w for w in calls if w is not bundle.ref_traj]
+        assert len(ref_calls) == 1 and len(plant_calls) == 1
+        assert plant_calls[0].values.shape == bundle.plant_traj.values.shape
 
 
 class TestSampling:

@@ -210,6 +210,18 @@ class TestSynth:
         assert payload["controller"]["rank"] == 2  # all of the c window space
 
 
+    def test_json_out_path_is_an_input_error(self, tmp_path, fixtures, capsys):
+        # the JSON sidecar goes to the .json path, which would overwrite the basis
+        out = tmp_path / "controller.json"
+        args = check_args(fixtures, "static_data", 0, 0)
+        args[0] = "synth"
+        args += ["--out", str(out)]
+        code, stdout, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:") and ".json" in stderr
+        assert not out.exists()
+
     def test_numerical_degeneracy_is_an_input_error(
         self, tmp_path, fixtures, capsys, monkeypatch
     ):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from canonctrl import harness, lti_core
+from canonctrl import harness, implementability, lti_core
 from canonctrl.errors import DimensionError, HorizonError, PartitionError
 from canonctrl.implementability import (
     DataBundle,
@@ -70,7 +70,9 @@ class TestHiddenBasis:
             case = harness.build_case(seed, kind)
             N_data = hidden_basis(case.plant_traj, case.wc_partition, case.L)
             N_model = lti_core.hidden_restricted_basis(
-                case.plant, case.wc_partition, case.L
+                lti_core.restricted_behavior_basis(case.plant, case.L),
+                case.wc_partition,
+                case.L,
             )
             ok, angle = subspaces_equal(N_data, N_model)
             assert ok, f"seed {seed}: dims {N_data.dim}/{N_model.dim}, angle {angle:.3e}"
@@ -218,6 +220,27 @@ class TestCheckModel:
         )
         assert data.implementable
         assert data.to_dict()["ranks"] == model.to_dict()["ranks"]
+
+    def test_uncontrolled_basis_matches_projected_oracle(self, monkeypatch):
+        # P_w is read off the plant's restricted basis; the independent
+        # oracle rebuilds the window map and factors its w rows
+        seen = {}
+        verdict_from_bases = implementability._verdict_from_bases
+
+        def spy(N, R, Pw, *args):
+            seen["Pw"] = Pw
+            return verdict_from_bases(N, R, Pw, *args)
+
+        monkeypatch.setattr(implementability, "_verdict_from_bases", spy)
+        for seed in range(40):
+            kind = "closed_loop" if seed % 2 == 0 else "adversarial"
+            case = harness.build_case(seed, kind)
+            check_model(case.plant, case.wc_partition, case.ref_model, case.L)
+            oracle = lti_core.projected_restricted_basis(
+                case.plant, case.wc_partition.picks_w, case.L
+            )
+            ok, angle = subspaces_equal(seen["Pw"], oracle)
+            assert ok, f"seed {seed}: dims {seen['Pw'].dim}/{oracle.dim}, angle {angle:.3e}"
 
     def test_horizon_error(self):
         plant, partition = harness.integrator_plant()

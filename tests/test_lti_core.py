@@ -317,19 +317,25 @@ class TestProjectionOracles:
 
     def test_hidden_basis_static_is_zero(self):
         model, partition = harness.static_plant()
-        assert hidden_restricted_basis(model, partition, 2).dim == 0
+        U = restricted_behavior_basis(model, 2)
+        assert hidden_restricted_basis(U, partition, 2).dim == 0
 
     def test_hidden_basis_integrator_is_constants(self):
         model, partition = harness.integrator_plant()
-        N = hidden_restricted_basis(model, partition, 2)
+        N = hidden_restricted_basis(restricted_behavior_basis(model, 2), partition, 2)
         ok, _ = subspaces_equal(N, orthonormal_basis(np.array([[1.0], [1.0]])))
         assert ok
+
+    def test_hidden_basis_rejects_basis_of_another_horizon(self):
+        model, partition = harness.integrator_plant()
+        with pytest.raises(DimensionError):
+            hidden_restricted_basis(restricted_behavior_basis(model, 2), partition, 3)
 
     def test_hidden_inside_uncontrolled(self):
         for seed in range(20):
             model, partition = random_minimal_model(2, 2, 2, seed=seed)
             L = invariants_of(model).lag + 1
-            N = hidden_restricted_basis(model, partition, L)
+            N = hidden_restricted_basis(restricted_behavior_basis(model, L), partition, L)
             Pw = projected_restricted_basis(model, partition.picks_w, L)
             from canonctrl.subspace import is_subspace_of
 
