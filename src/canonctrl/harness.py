@@ -9,6 +9,7 @@ route and the model route.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -418,7 +419,11 @@ def run_batch(
     base_seed: int = 0,
     cfg: HarnessConfig = HarnessConfig(),
 ) -> dict:
-    """Alternate implementable/adversarial cases and collect a JSON-able report."""
+    """Alternate implementable/adversarial cases and collect a JSON-able report.
+
+    `failure_counts` maps each check name to the number of cases failing it;
+    cases that raised count under "exception".
+    """
     if n_cases < 1:
         raise ValueError("need at least one case")
     results = []
@@ -437,8 +442,14 @@ def run_batch(
         for r in results
         if not r.passed
     ]
+    failure_counts = Counter(
+        "exception" if check.startswith("exception: ") else check
+        for r in results
+        for check in set(r.failures)
+    )
     return {
         "cases": n_cases,
         "passes": sum(1 for r in results if r.passed),
         "failures": failures,
+        "failure_counts": dict(sorted(failure_counts.items())),
     }

@@ -3,11 +3,11 @@
 Models here are the ground truth against which all data-driven
 representations are cross-checked: a minimal (A, B, C, D) realization plus a
 placement of its inputs/outputs in the full variable vector.  Restricted
-behaviors are built column-by-column by simulation, never through kernel
-representations.  :func:`hidden_restricted_basis` reads the hidden behavior
-off any orthonormal basis of a joint restricted behavior -- the oracle's
-window map image or the data route's Hankel image -- so both routes share
-one section function.
+behaviors are built from n + m simulations, shifted by time invariance,
+never through kernel representations.  :func:`hidden_restricted_basis` reads
+the hidden behavior off any orthonormal basis of a joint restricted behavior
+-- the oracle's window map image or the data route's Hankel image -- so both
+routes share one section function.
 """
 
 from __future__ import annotations
@@ -199,23 +199,32 @@ def invariants_of(model: StateSpaceModel) -> IntegerInvariants:
 def behavior_window_map(model: StateSpaceModel, L: int) -> np.ndarray:
     """Linear map (x0, u(1..L)) -> stacked length-L window, shape (qL, n + mL).
 
-    The image of this matrix is the restricted behavior; columns are the
-    simulated responses to the parameter basis vectors.
+    The image of this matrix is the restricted behavior; column j is the
+    response to the j-th parameter basis vector.  It is built from n + m
+    simulations, shifted by time invariance: the n free responses (x0 = e_j,
+    zero input) and the m impulse responses (u(1) = e_i, x0 = 0).  An impulse
+    on input i at time t is the time-1 impulse response delayed by t - 1
+    samples, so its column is that response moved down (t - 1) q rows, above
+    exact zeros.  This is the same matrix as one simulation per column.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     n, m, q = model.n, model.m, model.q
-    M = np.empty((q * L, n + m * L))
-    for j in range(n + m * L):
-        theta = np.zeros(n + m * L)
-        theta[j] = 1.0
-        x0 = theta[:n]
-        if m > 0:
-            u = Trajectory(theta[n:].reshape(L, m))
-            traj = simulate(model, u, x0=x0)
-        else:
-            traj = simulate(model, T=L, x0=x0)
-        M[:, j] = traj.values.reshape(-1)
+
+    def response(x0: np.ndarray, u0: np.ndarray) -> np.ndarray:
+        if m == 0:
+            return simulate(model, T=L, x0=x0).values.reshape(-1)
+        U = np.zeros((L, m))
+        U[0] = u0
+        return simulate(model, Trajectory(U), x0=x0).values.reshape(-1)
+
+    M = np.zeros((q * L, n + m * L))
+    for j, x0 in enumerate(np.eye(n)):
+        M[:, j] = response(x0, np.zeros(m))
+    for i, u0 in enumerate(np.eye(m)):
+        M[:, n + i] = response(np.zeros(n), u0)
+    for t in range(1, L):
+        M[q * t :, n + m * t : n + m * (t + 1)] = M[: q * (L - t), n : n + m]
     return M
 
 

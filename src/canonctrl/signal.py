@@ -190,9 +190,10 @@ def write_csv(path, w: Trajectory) -> None:
 def read_csv(path) -> Trajectory:
     """Read a trajectory CSV; a `ch1,...,chq` header is optional.
 
-    Ragged rows are rejected.
+    Ragged rows and non-numeric or non-finite (nan, inf) entries are rejected.
     """
     rows: list[list[float]] = []
+    linenos: list[int] = []
     width: int | None = None
     with open(path, newline="", encoding="utf-8") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
@@ -212,6 +213,12 @@ def read_csv(path) -> Trajectory:
                     f"{path}: ragged row on line {lineno} ({len(vals)} != {width})"
                 )
             rows.append(vals)
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Trajectory(np.array(rows))
+    values = np.array(rows)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise ValueError(f"{path}: non-finite entry on line {lineno}")
+    return Trajectory(values)

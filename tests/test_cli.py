@@ -120,6 +120,16 @@ class TestCheck:
         code, _, err = run_cli(args, capsys)
         assert code == 2 and "lag" in err
 
+    def test_non_finite_plant_entry_is_an_input_error(self, tmp_path, fixtures, capsys):
+        lines = fixtures["static_data"].read_text().splitlines()
+        lines[5] = "nan," + lines[5].split(",", 1)[1]
+        bad = tmp_path / "nan_data.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        fixtures["nan_data"] = bad
+        code, stdout, err = run_cli(check_args(fixtures, "nan_data", 0, 0), capsys)
+        assert code == 2 and stdout == ""
+        assert "non-finite entry on line 6" in err
+
     def test_config_file_supplies_defaults(self, tmp_path, fixtures, capsys):
         config = {
             "plant": str(fixtures["static_data"]),
@@ -247,6 +257,7 @@ class TestProptest:
         payload = json.loads(stdout)
         assert payload["cases"] == 6 and payload["passes"] == 6
         assert payload["failures"] == []
+        assert payload["failure_counts"] == {}
 
     def test_faulty_tolerance_reports_failures(self, capsys):
         code, stdout, _ = run_cli(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from canonctrl import harness, implementability, lti_core
-from canonctrl.errors import DimensionError, HorizonError, PartitionError
+from canonctrl.errors import DimensionError, GenerationError, HorizonError, PartitionError
 from canonctrl.implementability import (
     DataBundle,
     InvariantBounds,
@@ -288,6 +288,28 @@ class TestConsistencyProperties:
             case = harness.build_case(seed + 300, kind)
             result = harness.evaluate_case(case)
             assert result.passed, f"seed {seed + 300}: {result.failures}"
+
+    def test_batch_counts_failures_per_check(self, monkeypatch):
+        evaluate, build = harness.evaluate_case, harness.build_case
+
+        def forced_evaluate(case, cfg):
+            result = evaluate(case, cfg)
+            if case.seed == 1:
+                result.failures.append("closed_loop_exact")
+            return result
+
+        def forced_build(seed, kind, cfg):
+            if seed == 2:
+                raise GenerationError("forced")
+            return build(seed, kind, cfg)
+
+        monkeypatch.setattr(harness, "evaluate_case", forced_evaluate)
+        monkeypatch.setattr(harness, "build_case", forced_build)
+        report = harness.run_batch(4)
+        assert report["passes"] == 2
+        assert report["failure_counts"] == {"closed_loop_exact": 1, "exception": 1}
+        assert [f["seed"] for f in report["failures"]] == [1, 2]
+        assert report["failures"][1]["checks"] == ["exception: forced"]
 
     def test_monotone_in_horizon(self):
         # implementable at L+1 implies implementable at L

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from canonctrl import harness
+from canonctrl import harness, lti_core
 from canonctrl.errors import DimensionError, GenerationError, MinimalityError
 from canonctrl.lti_core import (
     StateSpaceModel,
@@ -165,6 +165,22 @@ class TestInvariants:
             IntegerInvariants(1, 1, 1, 2)
 
 
+def per_column_window_map(model, L):
+    """Reference window map: one simulation per parameter basis vector."""
+    n, m, q = model.n, model.m, model.q
+    M = np.empty((q * L, n + m * L))
+    for j in range(n + m * L):
+        theta = np.zeros(n + m * L)
+        theta[j] = 1.0
+        x0 = theta[:n]
+        if m > 0:
+            traj = simulate(model, Trajectory(theta[n:].reshape(L, m)), x0=x0)
+        else:
+            traj = simulate(model, T=L, x0=x0)
+        M[:, j] = traj.values.reshape(-1)
+    return M
+
+
 class TestRestrictedBasis:
     def test_static_line(self):
         basis = restricted_behavior_basis(identity_model(), 1)
@@ -191,6 +207,31 @@ class TestRestrictedBasis:
     def test_window_map_shape(self):
         M = behavior_window_map(integrator_model(), 3)
         assert M.shape == (6, 4)
+
+    def test_window_map_equals_per_column_simulation(self):
+        cases = []
+        for seed in range(60):
+            model, _ = random_minimal_model(1 + seed % 3, 1 + seed % 2, seed % 5, seed=seed)
+            cases.append((model, 1 + seed % 9))
+        static_plant, _ = harness.static_plant()
+        special = (harness.decaying_reference(), static_plant, free_model(2), integrator_model())
+        cases += [(model, L) for model in special for L in (1, 2, 5)]
+        for model, L in cases:
+            M = behavior_window_map(model, L)
+            assert np.array_equal(M, per_column_window_map(model, L)), (model.n, model.m, L)
+
+    @pytest.mark.parametrize("n, L", [(0, 1), (0, 6), (3, 1), (3, 6)])
+    def test_window_map_runs_n_plus_m_simulations(self, monkeypatch, n, L):
+        model, _ = random_minimal_model(2, 2, n, seed=7)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(lti_core, "simulate", counted)
+        behavior_window_map(model, L)
+        assert len(calls) == model.n + model.m
 
 
 class TestRandomModel:

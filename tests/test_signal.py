@@ -258,6 +258,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="non-numeric"):
             read_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_rejected_with_line(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"ch1,ch2\n1.0,2.0\n\n3.0,{cell}\n5.0,6.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: non-finite entry on line 4"):
+            read_csv(path)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("ch1\n")
