@@ -10,8 +10,8 @@ the w and c positions that :class:`PermutationPlan` reads off
 Trajectories entering this module must already carry their channels in
 (w-block, c-block) order; use :func:`canonctrl.signal.arrange_by_partition`.
 :func:`synthesize` runs the whole sequence on a measured data bundle; it
-factors each Hankel matrix once and reads the plant and reference bases of
-the closed-loop check off the two projectors.
+factors each Hankel matrix once and hands the closed-loop check the bases
+the two projectors hold, so nothing is factored twice.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .subspace import (
     BehaviorBasis,
     Projector,
     RankTolerance,
-    image_basis,
     intersect,
     orthonormal_basis,
     pinv_symmetric,
@@ -142,16 +141,13 @@ def reference_lift_projector(
 ) -> Projector:
     """Projector onto (reference windows) x (anything on c), canonical layout.
 
-    The reference Hankel image's projector fills the (w, w) positions and
-    an identity the (c, c) positions.
+    Its basis lifts the reference Hankel image's basis: that basis on the w
+    rows (the leading columns), then unit columns on the c rows.
     """
     if plan.q != ref_traj.q or plan.k != k or plan.L != L:
         raise DimensionError("plan does not match (q, k, L) of the inputs")
     QR = reference_basis(ref_traj, L, tol).basis
-    P = np.zeros((plan.ambient_dim, plan.ambient_dim))
-    P[np.ix_(plan.w_rows, plan.w_rows)] = QR @ QR.T
-    P[plan.c_rows, plan.c_rows] = 1.0
-    return Projector(P)
+    return projector_onto(_lift(plan, QR, np.eye(k * L)))
 
 
 def controller_basis(
@@ -168,8 +164,8 @@ def controller_basis(
     """
     if P_r.ambient_dim != plan.ambient_dim or P_p.ambient_dim != plan.ambient_dim:
         raise DimensionError("projector ambient dims do not match the plan")
-    S_pinv = pinv_symmetric(P_r.matrix + P_p.matrix, tol)
-    X = P_r.matrix @ S_pinv @ P_p.matrix
+    Mr, Mp = P_r.matrix, P_p.matrix
+    X = Mr @ pinv_symmetric(Mr + Mp, tol) @ Mp
     # X is (half) a projector, so its entries live on the 0..1 scale
     return ControllerBasis(
         orthonormal_basis(X[plan.c_rows, :], tol, scale=1.0), plan.k, plan.L
@@ -188,25 +184,25 @@ def controller_basis_intersection_route(
     the c rows of the intersection's image.  Agrees with `controller_basis`
     up to numerical tolerance; kept as an independent cross-check.
     """
-    P_int = intersect(P_r, P_p, tol)
-    image = image_basis(P_int, tol)
-    return ControllerBasis(
-        orthonormal_basis(image.basis[plan.c_rows, :], tol, scale=1.0), plan.k, plan.L
-    )
+    image = intersect(P_r, P_p, tol).basis.basis
+    return ControllerBasis(orthonormal_basis(image[plan.c_rows], tol, scale=1.0), plan.k, plan.L)
+
+
+def _lift(plan: PermutationPlan, Qw: np.ndarray, Qc: np.ndarray) -> BehaviorBasis:
+    """Qw on the w rows, then Qc on the c rows: a basis of R^d as assembled.
+
+    The row sets are disjoint, so the columns are orthonormal with no factorization.
+    """
+    r = Qw.shape[1]
+    lift = np.zeros((plan.ambient_dim, r + Qc.shape[1]))
+    lift[plan.w_rows, :r] = Qw
+    lift[plan.c_rows, r:] = Qc
+    return BehaviorBasis(plan.ambient_dim, lift)
 
 
 def lift_controller(C: ControllerBasis, plan: PermutationPlan) -> BehaviorBasis:
-    """Lift a controller subspace to (anything on w) x C, canonical layout.
-
-    Unit columns on the w rows and the controller's orthonormal basis on the
-    c rows: the row sets are disjoint, so the columns are orthonormal as
-    assembled and need no factorization.
-    """
-    qL, Qc = plan.q * plan.L, C.basis.basis
-    lift = np.zeros((plan.ambient_dim, qL + Qc.shape[1]))
-    lift[plan.w_rows, np.arange(qL)] = 1.0
-    lift[plan.c_rows, qL:] = Qc
-    return BehaviorBasis(plan.ambient_dim, lift)
+    """Lift a controller subspace to (anything on w) x C, canonical layout."""
+    return _lift(plan, np.eye(plan.q * plan.L), C.basis.basis)
 
 
 def verify_closed_loop(
@@ -227,10 +223,8 @@ def verify_closed_loop(
         raise DimensionError("plant basis ambient does not match the plan")
     if R_basis.ambient_dim != plan.q * plan.L:
         raise DimensionError("reference basis ambient does not match the plan")
-    lift = lift_controller(C, plan)
-    P_loop = intersect(projector_onto(P_basis), projector_onto(lift), tol)
-    loop_image = image_basis(P_loop, tol)
-    controlled = orthonormal_basis(loop_image.basis[plan.w_rows, :], tol, scale=1.0)
+    P_loop = intersect(projector_onto(P_basis), projector_onto(lift_controller(C, plan)), tol)
+    controlled = orthonormal_basis(P_loop.basis.basis[plan.w_rows], tol, scale=1.0)
     verified, max_angle = subspaces_equal(controlled, R_basis, angle_tol)
     angles = tuple(float(a) for a in principal_angles(controlled, R_basis))
     report = ClosedLoopReport(
@@ -265,8 +259,8 @@ def synthesize(
     Builds the plant and reference-lift projectors, synthesizes the
     controller, and checks that the plant interconnected with it reproduces
     the reference.  Each Hankel matrix is factored once: the plant basis of
-    that check is the image of P_p, and the reference basis the image of
-    the (w, w) block of P_r.
+    that check is the one P_p holds, and the reference basis the w rows of
+    the leading (non-unit) columns of P_r's lift.
     """
     partition, L = bundle.partition, bundle.L
     plan = PermutationPlan(partition.n_w, partition.n_c, L)
@@ -274,14 +268,9 @@ def synthesize(
     P_p = plant_projector(arranged, L, tol)
     P_r = reference_lift_projector(bundle.ref_traj, plan.k, L, plan, tol)
     ctrl = controller_basis(P_r, P_p, plan, tol)
-    verified, report = verify_closed_loop(
-        image_basis(P_p, tol),
-        ctrl,
-        orthonormal_basis(P_r.matrix[np.ix_(plan.w_rows, plan.w_rows)], tol, scale=1.0),
-        plan,
-        tol,
-        angle_tol,
-    )
+    r = P_r.basis.dim - plan.k * L
+    R_basis = BehaviorBasis(plan.q * L, P_r.basis.basis[plan.w_rows, :r])
+    verified, report = verify_closed_loop(P_p.basis, ctrl, R_basis, plan, tol, angle_tol)
     return Synthesis(plan, P_p, P_r, ctrl, verified, report)
 
 

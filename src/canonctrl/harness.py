@@ -77,14 +77,17 @@ def decaying_reference_data(T: int, rate: float = 0.5, r1: float = 1.0) -> Traje
     return Trajectory((r1 * rate ** np.arange(T)).reshape(-1, 1))
 
 
-def plant_data(model: StateSpaceModel, T: int, seed: int) -> Trajectory:
-    """Seeded random-input simulation of a plant model."""
-    rng = np.random.default_rng(seed)
+def _random_run(model: StateSpaceModel, T: int, rng: np.random.Generator) -> Trajectory:
+    """Simulation from a random x0 with a random input (drawn in that order)."""
     x0 = rng.standard_normal(model.n)
     if model.m > 0:
-        u = Trajectory(rng.standard_normal((T, model.m)))
-        return simulate(model, u, x0=x0)
+        return simulate(model, Trajectory(rng.standard_normal((T, model.m))), x0=x0)
     return simulate(model, T=T, x0=x0)
+
+
+def plant_data(model: StateSpaceModel, T: int, seed: int) -> Trajectory:
+    """Seeded random-input simulation of a plant model."""
+    return _random_run(model, T, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +109,7 @@ def gpe_trajectory(
     """Simulate until the trajectory passes the excitation rank test."""
     inv = invariants_of(model)
     for _ in range(25):
-        x0 = rng.standard_normal(model.n)
-        if model.m > 0:
-            traj = simulate(model, Trajectory(rng.standard_normal((T, model.m))), x0=x0)
-        else:
-            traj = simulate(model, T=T, x0=x0)
+        traj = _random_run(model, T, rng)
         ok, _ = is_gpe(traj, L, inv.m_inputs, inv.n_order, rank_tol)
         if ok:
             return traj

@@ -190,14 +190,15 @@ def write_csv(path, w: Trajectory) -> None:
 def read_csv(path) -> Trajectory:
     """Read a trajectory CSV; a `ch1,...,chq` header (first non-blank row) is optional.
 
-    Ragged rows and non-numeric or non-finite (nan, inf) entries are rejected.
+    Rows of blank cells are skipped; ragged rows and non-numeric or
+    non-finite (nan, inf) entries are rejected.
     """
     rows: list[list[float]] = []
     linenos: list[int] = []
     width: int | None = None
     with open(path, newline="", encoding="utf-8") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
+            if not any(cell.strip() for cell in row):
                 continue
             if width is None and row[0].strip().lower().startswith("ch"):
                 width = len(row)

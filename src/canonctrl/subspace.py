@@ -1,7 +1,8 @@
 """Numerical subspace algebra.
 
 Subspaces of R^d are carried around as orthonormal-column matrices
-(:class:`BehaviorBasis`) or as orthogonal projectors (:class:`Projector`).
+(:class:`BehaviorBasis`); an orthogonal projector (:class:`Projector`) holds
+one and forms its d x d matrix only where projector algebra needs it.
 Everything is SVD-based; rank decisions go through a single
 :class:`RankTolerance` rule so the whole package cuts singular values the
 same way.  Wide matrices (data Hankel matrices have far more columns than
@@ -95,30 +96,43 @@ class BehaviorBasis:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Orthogonal projector: a symmetric idempotent matrix."""
+    """Orthogonal projector onto the image of an orthonormal basis Q.
 
-    matrix: np.ndarray
+    `matrix` forms Q Q^T on each access; matrices enter through `from_matrix`.
+    """
+
+    basis: BehaviorBasis
 
     def __post_init__(self):
-        P = np.asarray(self.matrix, dtype=float)
+        Q = self.basis.basis
+        # Q Q^T is idempotent exactly when Q^T Q = I: O(d r^2), not O(d^3)
+        defect = np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]))
+        if defect > 1e-8 * (1.0 + np.linalg.norm(Q)):
+            raise NumericalDegeneracyError(f"projector basis not orthonormal: defect {defect:.3e}")
+
+    @classmethod
+    def from_matrix(cls, P: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> Projector:
+        """The projector a symmetric idempotent matrix P is; its image cut at eigenvalue 1."""
+        P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DimensionError(f"projector must be square, got {P.shape}")
         scale = 1.0 + np.linalg.norm(P)
-        sym_defect = np.linalg.norm(P - P.T)
-        if sym_defect > 1e-10 * scale:
-            raise NumericalDegeneracyError(
-                f"projector not symmetric: defect {sym_defect:.3e}"
-            )
-        idem_defect = np.linalg.norm(P @ P - P)
-        if idem_defect > 1e-8 * scale:
-            raise NumericalDegeneracyError(
-                f"projector not idempotent: defect {idem_defect:.3e}"
-            )
-        object.__setattr__(self, "matrix", P)
+        for name, defect, bound in (
+            ("symmetric", np.linalg.norm(P - P.T), 1e-10),
+            ("idempotent", np.linalg.norm(P @ P - P), 1e-8),
+        ):
+            if defect > bound * scale:
+                raise NumericalDegeneracyError(f"projector not {name}: defect {defect:.3e}")
+        return cls(orthonormal_basis(P, tol, scale=1.0))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        Q = self.basis.basis
+        return Q @ Q.T
 
     @property
     def ambient_dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.basis.ambient_dim
 
 
 def orthonormal_basis(
@@ -142,9 +156,9 @@ def orthonormal_basis(
     return BehaviorBasis(M.shape[0], U[:, : tol.count(s, M.shape, scale)].copy())
 
 
-def image_basis(P: Projector, tol: RankTolerance = DEFAULT_RANK_TOL) -> BehaviorBasis:
-    """Orthonormal basis of a projector's image, cutoff anchored at eigenvalue 1."""
-    return orthonormal_basis(P.matrix, tol, scale=1.0)
+def image_basis(P: Projector) -> BehaviorBasis:
+    """Orthonormal basis of a projector's image."""
+    return P.basis
 
 
 def pinv(
@@ -203,12 +217,11 @@ def pinv_symmetric(S: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> np.n
 
 def projector_onto(B: BehaviorBasis) -> Projector:
     """Orthogonal projector onto the image of an orthonormalized basis."""
-    Q = B.basis
-    return Projector(Q @ Q.T)
+    return Projector(B)
 
 
 def zero_projector(ambient_dim: int) -> Projector:
-    return Projector(np.zeros((ambient_dim, ambient_dim)))
+    return Projector(BehaviorBasis(ambient_dim, np.zeros((ambient_dim, 0))))
 
 
 def intersect(PV: Projector, PW: Projector, tol: RankTolerance = DEFAULT_RANK_TOL) -> Projector:
@@ -219,26 +232,22 @@ def intersect(PV: Projector, PW: Projector, tol: RankTolerance = DEFAULT_RANK_TO
     checked: it must be a projector and its image must lie inside both
     inputs.  A violation (possible when V and W nearly touch without
     intersecting, where the formula is ill-conditioned) raises
-    NumericalDegeneracyError instead of silently rounding.
+    NumericalDegeneracyError instead of silently rounding.  The returned
+    projector holds the image basis that check verified.
     """
     if PV.ambient_dim != PW.ambient_dim:
         raise DimensionError(
             f"ambient dims differ: {PV.ambient_dim} vs {PW.ambient_dim}"
         )
-    S_pinv = pinv_symmetric(PV.matrix + PW.matrix, tol)
-    X = 2.0 * PV.matrix @ S_pinv @ PW.matrix
-    X = 0.5 * (X + X.T)
-    P = Projector(X)
-    Q = image_basis(P, tol).basis
-    if Q.shape[1]:
-        defect = max(
-            float(np.linalg.norm(Q - PV.matrix @ Q)),
-            float(np.linalg.norm(Q - PW.matrix @ Q)),
+    MV, MW = PV.matrix, PW.matrix
+    X = 2.0 * MV @ pinv_symmetric(MV + MW, tol) @ MW
+    P = Projector.from_matrix(0.5 * (X + X.T), tol)
+    Q = P.basis.basis
+    defect = max(float(np.linalg.norm(Q - M @ Q)) for M in (MV, MW))
+    if defect > DEFAULT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(Q))):
+        raise NumericalDegeneracyError(
+            f"intersection image not inside both inputs: defect {defect:.3e}"
         )
-        if defect > DEFAULT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(Q))):
-            raise NumericalDegeneracyError(
-                f"intersection image not inside both inputs: defect {defect:.3e}"
-            )
     return P
 
 

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonctrl import harness, signal
+from canonctrl import harness, signal, subspace
 from canonctrl.canonical import (
     ClosedLoopReport,
     ControllerBasis,
@@ -387,6 +387,39 @@ class TestSynthesize:
         plant_calls = [w for w in calls if w is not bundle.ref_traj]
         assert len(ref_calls) == 1 and len(plant_calls) == 1
         assert plant_calls[0].values.shape == bundle.plant_traj.values.shape
+
+    def test_one_square_factorization_inside_intersect(self, monkeypatch):
+        case = harness.build_case(6000, "closed_loop")
+        bundle = DataBundle(
+            case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
+        )
+        d = (case.wc_partition.n_w + case.wc_partition.n_c) * case.L
+        square_calls, in_intersect = [], []
+        original_basis, original_intersect = subspace.orthonormal_basis, subspace.intersect
+
+        def counting_basis(M, *args, **kwargs):
+            if np.shape(M) == (d, d):
+                square_calls.append(bool(in_intersect))
+            return original_basis(M, *args, **kwargs)
+
+        def marking_intersect(*args, **kwargs):
+            in_intersect.append(True)
+            try:
+                return original_intersect(*args, **kwargs)
+            finally:
+                in_intersect.pop()
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] != "canonctrl":
+                continue
+            if getattr(mod, "orthonormal_basis", None) is original_basis:
+                monkeypatch.setattr(mod, "orthonormal_basis", counting_basis)
+            if getattr(mod, "intersect", None) is original_intersect:
+                monkeypatch.setattr(mod, "intersect", marking_intersect)
+        assert synthesize(bundle).verified
+        # the closed-loop intersection's image; the plant and reference
+        # bases are the ones the projectors already hold
+        assert square_calls == [True]
 
 
 class TestSampling:

@@ -251,6 +251,11 @@ class TestCsv:
         path.write_text("\nch1,ch2\n1,2\n3,4\n")
         assert np.array_equal(read_csv(path).values, [[1, 2], [3, 4]])
 
+    def test_whitespace_only_rows_skipped(self, tmp_path):
+        path = tmp_path / "spaces.csv"
+        path.write_text("   \nch1,ch2\n1,2\n   \n , \n3,4\n")
+        assert np.array_equal(read_csv(path).values, [[1, 2], [3, 4]])
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("ch1,ch2\n1.0,2.0\n3.0\n")

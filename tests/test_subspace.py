@@ -226,14 +226,36 @@ class TestProjector:
         P = projector_onto(B)
         assert np.linalg.norm(P.matrix @ B.basis - B.basis) < 1e-10
 
+    def test_holds_the_basis_and_forms_a_projector_matrix(self, rng):
+        for _ in range(20):
+            d = int(rng.integers(2, 12))
+            B = orthonormal_basis(rng.standard_normal((d, int(rng.integers(0, d + 1)))))
+            P = projector_onto(B)
+            assert P.basis is B and image_basis(P) is B
+            M = P.matrix
+            assert np.abs(M - M.T).max() <= 1e-12
+            assert np.abs(M @ M - M).max() <= 1e-12
+
     def test_invariants_enforced(self):
         with pytest.raises(NumericalDegeneracyError):
-            Projector(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
+            Projector.from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
         with pytest.raises(NumericalDegeneracyError):
-            Projector(np.array([[0.5, 0.0], [0.0, 0.5]]))  # not idempotent
+            Projector.from_matrix(np.array([[0.5, 0.0], [0.0, 0.5]]))  # not idempotent
+        with pytest.raises(DimensionError):
+            Projector.from_matrix(np.zeros((2, 3)))
+
+    def test_basis_must_be_orthonormal(self):
+        with pytest.raises(NumericalDegeneracyError):
+            Projector(BehaviorBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]])))
+        with pytest.raises(NumericalDegeneracyError):
+            Projector(BehaviorBasis(2, np.array([[0.5], [0.0]])))
 
     def test_rank_of_near_zero_matrix_is_zero(self):
-        assert image_basis(Projector(1e-14 * np.eye(4))).dim == 0
+        assert image_basis(Projector.from_matrix(1e-14 * np.eye(4))).dim == 0
+
+    def test_from_matrix_keeps_the_image(self, rng):
+        B = orthonormal_basis(rng.standard_normal((7, 3)))
+        assert subspaces_equal(Projector.from_matrix(B.basis @ B.basis.T).basis, B)[0]
 
 
 class TestIntersect:
