@@ -9,9 +9,11 @@ the w and c positions that :class:`PermutationPlan` reads off
 
 Trajectories entering this module must already carry their channels in
 (w-block, c-block) order; use :func:`canonctrl.signal.arrange_by_partition`.
-:func:`synthesize` runs the whole sequence on a measured data bundle; it
-factors each Hankel matrix once and hands the closed-loop check the bases
-the two projectors hold, so nothing is factored twice.
+:func:`synthesize` runs the whole sequence on a measured data bundle.  Its
+projectors read the Hankel factorizations stored with the trajectories
+(:func:`canonctrl.signal.hankel_image`), so a bundle already checked in
+arranged form is factored no further, and it hands the closed-loop check
+the bases the two projectors hold.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyBasisError
 from .implementability import DataBundle, reference_basis
-from .signal import Trajectory, arrange_by_partition, channel_rows, hankel
+from .signal import Trajectory, arrange_by_partition, channel_rows, hankel_image, write_float_rows
 from .subspace import (
     DEFAULT_ANGLE_TOL,
     DEFAULT_RANK_TOL,
@@ -129,7 +131,7 @@ def plant_projector(
     `plant_traj` must hold the full (w, c) variables with w channels first;
     the Hankel image then sits in canonical interleaved layout directly.
     """
-    return projector_onto(orthonormal_basis(hankel(plant_traj, L), tol))
+    return projector_onto(hankel_image(plant_traj, L, tol).basis)
 
 
 def reference_lift_projector(
@@ -258,9 +260,9 @@ def synthesize(
 
     Builds the plant and reference-lift projectors, synthesizes the
     controller, and checks that the plant interconnected with it reproduces
-    the reference.  Each Hankel matrix is factored once: the plant basis of
-    that check is the one P_p holds, and the reference basis the w rows of
-    the leading (non-unit) columns of P_r's lift.
+    the reference.  Each trajectory is factored at most once: the plant
+    basis of that check is the one P_p holds, and the reference basis the w
+    rows of the leading (non-unit) columns of P_r's lift.
     """
     partition, L = bundle.partition, bundle.L
     plan = PermutationPlan(partition.n_w, partition.n_c, L)
@@ -298,9 +300,7 @@ def write_controller_csv(path, C: ControllerBasis) -> None:
     if path.suffix == ".json":
         raise ValueError(f"{path}: a .json path would be overwritten by its own sidecar")
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        for row in C.basis.basis:
-            writer.writerow([repr(float(x)) for x in row])
+        write_float_rows(f, C.basis.basis)
     sidecar = {"k": C.k, "L": C.L, "layout": "interleaved-time-major"}
     with open(path.with_suffix(".json"), "w", encoding="utf-8") as f:
         json.dump(sidecar, f, indent=2)

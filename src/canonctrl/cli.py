@@ -94,7 +94,9 @@ def _bundle_from_args(args) -> tuple[DataBundle, float]:
     n_plant, n_ref = _parse_bound_pair(_opt(args, "n_bound", required=True))
     bounds = InvariantBounds(m_plant, n_plant, m_ref, n_ref, lag_bound)
     residual_tol = float(_opt(args, "tol", default=1e-8))
-    return DataBundle(plant, ref, L, partition, bounds), residual_tol
+    # in synthesis order: `check` and `synth` then compute the same verdict, and
+    # synthesis reuses the plant factorization that the check stored
+    return DataBundle(plant, ref, L, partition, bounds).arranged(), residual_tol
 
 
 def cmd_check(args) -> int:

@@ -7,21 +7,25 @@ testing the inclusion chain N ⊆ R ⊆ P_w through least-squares residuals.
 The model route computes the same three subspaces exactly from state-space
 oracles; the two must agree whenever the data is sufficiently exciting.
 
-Every data subspace is an image of a Hankel matrix and is computed in the
-window space: each Hankel matrix is factored into an orthonormal image
-basis first, and no matrix is ever indexed by data length on both sides.
+Every data subspace is read off the orthonormal image basis of a Hankel
+matrix, in the window space: no matrix is ever indexed by data length on
+both sides.  Each trajectory is factored once
+(:func:`canonctrl.signal.hankel_image` stores the factorization with it),
+and the excitation tests count the singular values stored there.  Both
+routes read N and P_w off a joint plant basis the same way: N is its
+section at c = 0 and P_w the span of its w rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lti_core
 from .errors import DimensionError, HorizonError
-from .signal import Partition, Trajectory, channel_rows, hankel, is_gpe, select_channels
+from .signal import Partition, Trajectory, arrange_by_partition, channel_rows, hankel_image, is_gpe
 from .subspace import (
     DEFAULT_RANK_TOL,
     DEFAULT_RESIDUAL_TOL,
@@ -77,6 +81,19 @@ class DataBundle:
                 f"L={self.L} outside [1, {min(self.plant_traj.T, self.ref_traj.T)}]"
             )
 
+    def arranged(self) -> DataBundle:
+        """The same data with the plant's channels in (w, c) order, as synthesis reads them.
+
+        Checking and synthesizing this bundle share one plant factorization.
+        """
+        p = self.partition
+        in_order = Partition(
+            p.total, tuple(range(1, p.n_w + 1)), tuple(range(p.n_w + 1, p.total + 1))
+        )
+        return replace(
+            self, plant_traj=arrange_by_partition(self.plant_traj, p), partition=in_order
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class ImplementabilityVerdict:
@@ -131,10 +148,11 @@ def hidden_basis(
     rank), the same subspace is the image of U_w (I - U_c^+ U_c), where
     U_w, U_c are the w and c rows of U.  So the annihilator is formed in
     the r x r coefficient space of U, not the T x T column space of H.
-    U goes to :func:`~canonctrl.lti_core.hidden_restricted_basis`, the
-    section function the model oracle applies to its window map image.
+    U (the stored :func:`~canonctrl.signal.hankel_image`) goes to
+    :func:`~canonctrl.lti_core.hidden_restricted_basis`, the section
+    function the model oracle applies to its window map image.
     """
-    U = orthonormal_basis(hankel(plant_traj, L), tol)
+    U = hankel_image(plant_traj, L, tol).basis
     return lti_core.hidden_restricted_basis(U, partition, L, tol)
 
 
@@ -142,7 +160,7 @@ def reference_basis(
     ref_traj: Trajectory, L: int, tol: RankTolerance = DEFAULT_RANK_TOL
 ) -> BehaviorBasis:
     """Data representation of the restricted reference behavior: image of H_L(r)."""
-    return orthonormal_basis(hankel(ref_traj, L), tol)
+    return hankel_image(ref_traj, L, tol).basis
 
 
 def uncontrolled_basis(
@@ -151,10 +169,25 @@ def uncontrolled_basis(
     L: int,
     tol: RankTolerance = DEFAULT_RANK_TOL,
 ) -> BehaviorBasis:
-    """Data representation of the uncontrolled plant behavior: image of H_L(w)."""
+    """Data representation of the uncontrolled plant behavior: image of H_L(w).
+
+    Read off the joint Hankel image basis, as :func:`check_model` reads it
+    off the oracle's.
+    """
     partition.require_control_split()
-    w = select_channels(plant_traj, partition.picks_w)
-    return orthonormal_basis(hankel(w, L), tol)
+    U = hankel_image(plant_traj, L, tol).basis
+    return _w_rows_image(U, partition.picks_w, plant_traj.q, L, tol)
+
+
+def _w_rows_image(
+    U: BehaviorBasis, picks_w: tuple[int, ...], q: int, L: int, tol: RankTolerance
+) -> BehaviorBasis:
+    """Span of the picks_w rows of U, an orthonormal basis of q-channel windows.
+
+    Rows of an orthonormal U live on the 0..1 scale, so the cutoff is
+    anchored at 1, as in :func:`~canonctrl.subspace.zero_section`.
+    """
+    return orthonormal_basis(U.basis[channel_rows(picks_w, q, L)], tol, scale=1.0)
 
 
 def _verdict_from_bases(
@@ -194,20 +227,21 @@ def check_data(
     Requires invariant bounds in the bundle: the horizon must exceed the lag
     bound and the excitation rank tests need input/order bounds.  A failed
     excitation test is recorded in the verdict and forces a negative
-    decision (the inclusion residuals are still reported).
+    decision (the inclusion residuals are still reported).  The bases come
+    first, so the excitation tests count singular values already stored.
     """
     if bundle.bounds is None:
         raise ValueError("check_data needs invariant bounds; refusing to guess")
     bounds = bundle.bounds
     if bundle.L <= bounds.lag:
         raise HorizonError(f"L={bundle.L} must exceed the lag bound {bounds.lag}")
+    N = hidden_basis(bundle.plant_traj, bundle.partition, bundle.L, rank_tol)
+    R = reference_basis(bundle.ref_traj, bundle.L, rank_tol)
+    Pw = uncontrolled_basis(bundle.plant_traj, bundle.partition, bundle.L, rank_tol)
     gpe_plant, _ = is_gpe(
         bundle.plant_traj, bundle.L, bounds.m_plant, bounds.n_plant, rank_tol
     )
     gpe_ref, _ = is_gpe(bundle.ref_traj, bundle.L, bounds.m_ref, bounds.n_ref, rank_tol)
-    N = hidden_basis(bundle.plant_traj, bundle.partition, bundle.L, rank_tol)
-    R = reference_basis(bundle.ref_traj, bundle.L, rank_tol)
-    Pw = uncontrolled_basis(bundle.plant_traj, bundle.partition, bundle.L, rank_tol)
     return _verdict_from_bases(N, R, Pw, gpe_plant, gpe_ref, residual_tol)
 
 
@@ -246,6 +280,5 @@ def check_model(
     U = lti_core.restricted_behavior_basis(plant, L, rank_tol)
     N = lti_core.hidden_restricted_basis(U, wc_partition, L, rank_tol)
     R = lti_core.restricted_behavior_basis(ref, L, rank_tol)
-    w_rows = channel_rows(wc_partition.picks_w, plant.q, L)
-    Pw = orthonormal_basis(U.basis[w_rows], rank_tol, scale=1.0)
+    Pw = _w_rows_image(U, wc_partition.picks_w, plant.q, L, rank_tol)
     return _verdict_from_bases(N, R, Pw, True, True, residual_tol)

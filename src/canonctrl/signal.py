@@ -6,24 +6,42 @@ Conventions used everywhere in the package:
 * every finite-horizon vector stacks samples in that interleaved time-major
   order, so a depth-L Hankel column reads
   (w_1(t), ..., w_q(t), w_1(t+1), ..., w_q(t+L-1)).
+
+A trajectory's samples are read-only, so a factorization of its Hankel
+matrix never goes stale: :func:`hankel_image` stores one with the
+trajectory, and every basis, rank and excitation test of the data route
+reads it, so a command factors each trajectory it reads once.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, InfeasibleRankError, PartitionError
-from .subspace import DEFAULT_RANK_TOL, RankTolerance
+from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, RankTolerance, image_svd
+
+
+class HankelImage(NamedTuple):
+    """The kept orthonormal image basis of a Hankel matrix and all its singular values."""
+
+    basis: BehaviorBasis
+    singular_values: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A length-T, q-channel real time series, stored as a (T, q) array."""
+    """A length-T, q-channel real time series, stored as a (T, q) array.
+
+    `hankel_images` holds the factorizations :func:`hankel_image` made of
+    this trajectory's Hankel matrices, keyed by (L, rank tolerance).
+    """
 
     values: np.ndarray
+    hankel_images: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -105,6 +123,12 @@ def shift(w: Trajectory, tau: int) -> Trajectory:
     return Trajectory(w.values[tau - 1 :])
 
 
+def _hankel_shape(w: Trajectory, L: int) -> tuple[int, int]:
+    if not 1 <= L <= w.T:
+        raise ValueError(f"L={L} outside [1, {w.T}]")
+    return w.q * L, w.T - L + 1
+
+
 def hankel(w: Trajectory, L: int) -> np.ndarray:
     """Depth-L Hankel matrix of w, shape (q*L, T-L+1).
 
@@ -113,11 +137,27 @@ def hankel(w: Trajectory, L: int) -> np.ndarray:
     sample j + t of channel i, so H is a read-only strided view of w's
     (immutable) samples; nothing is copied.
     """
-    if not 1 <= L <= w.T:
-        raise ValueError(f"L={L} outside [1, {w.T}]")
+    rows, _ = _hankel_shape(w, L)
     # windows[j, i, t] = w(j + t)_i; axes (t, i) merge into one row axis
     windows = np.lib.stride_tricks.sliding_window_view(w.values, L, axis=0)
-    return windows.transpose(2, 1, 0).reshape(w.q * L, -1)
+    return windows.transpose(2, 1, 0).reshape(rows, -1)
+
+
+def hankel_image(
+    w: Trajectory, L: int, tol: RankTolerance = DEFAULT_RANK_TOL
+) -> HankelImage:
+    """Orthonormal image basis and singular values of H_L(w), factored once.
+
+    The first call for (L, tol) runs one thin SVD and stores the result in
+    `w.hankel_images`, so it lives exactly as long as w; the basis is a
+    read-only copy of the kept columns.
+    """
+    key = (L, tol)
+    if key not in w.hankel_images:
+        basis, s = image_svd(hankel(w, L), tol)
+        basis.basis.flags.writeable = False
+        w.hankel_images[key] = HankelImage(basis, s)
+    return w.hankel_images[key]
 
 
 def is_gpe(
@@ -131,16 +171,23 @@ def is_gpe(
 
     m_bound and n_bound are caller-supplied input-count and order bounds for
     the generating system; the achieved rank is returned for diagnostics.
+    The rank counts the singular values :func:`hankel_image` stored for
+    (L, tol); with none stored, only singular values are computed (so a
+    trajectory tried and rejected pays for no image basis).
     """
     if m_bound < 0 or n_bound < 0:
         raise ValueError("bounds must be nonnegative")
-    H = hankel(w, L)
+    shape = _hankel_shape(w, L)
     target = m_bound * L + n_bound
-    if target > min(H.shape):
+    if target > min(shape):
         raise InfeasibleRankError(
-            f"target rank {target} exceeds min(H shape)={min(H.shape)}"
+            f"target rank {target} exceeds min(H shape)={min(shape)}"
         )
-    achieved = tol.rank(H)
+    stored = w.hankel_images.get((L, tol))
+    if stored is None:
+        achieved = tol.rank(hankel(w, L))
+    else:
+        achieved = tol.count(stored.singular_values, shape)
     return achieved == target, achieved
 
 
@@ -162,11 +209,17 @@ def stack_channels(first: Trajectory, second: Trajectory) -> Trajectory:
 
 
 def arrange_by_partition(w: Trajectory, partition: Partition) -> Trajectory:
-    """Reorder channels to (picks_w block, then picks_c block)."""
+    """Reorder channels to (picks_w block, then picks_c block).
+
+    Channels already in that order return w itself, with its stored factorizations.
+    """
     partition.require_control_split()
     if w.q != partition.total:
         raise DimensionError(f"trajectory has {w.q} channels, partition {partition.total}")
-    return Trajectory(w.values[:, [p - 1 for p in partition.picks_w + partition.picks_c]])
+    order = partition.picks_w + partition.picks_c
+    if order == tuple(range(1, w.q + 1)):
+        return w
+    return Trajectory(w.values[:, [p - 1 for p in order]])
 
 
 def channel_rows(picks: tuple[int, ...], q_total: int, L: int) -> np.ndarray:
@@ -178,13 +231,20 @@ def channel_rows(picks: tuple[int, ...], q_total: int, L: int) -> np.ndarray:
     )
 
 
+def write_float_rows(f, values: np.ndarray) -> None:
+    """One CSV line of repr floats per row of a 2-D array, as `csv.writer` writes them.
+
+    A float's repr holds no comma, quote or line break, so no cell needs
+    quoting; `f` must be opened with ``newline=""``.
+    """
+    f.writelines(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
+
+
 def write_csv(path, w: Trajectory) -> None:
     """Write a `ch1,...,chq` header, then one row per sample, backed by repr floats."""
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"ch{i}" for i in range(1, w.q + 1)])
-        for row in w.values:
-            writer.writerow([repr(float(x)) for x in row])
+        f.write(",".join(f"ch{i}" for i in range(1, w.q + 1)) + "\r\n")
+        write_float_rows(f, w.values)
 
 
 def read_csv(path) -> Trajectory:

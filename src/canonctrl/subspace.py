@@ -147,13 +147,22 @@ def orthonormal_basis(
     rounding noise (for example a block of an orthonormal basis times an
     annihilator, or a numerically zero projector); see :class:`RankTolerance`.
     """
+    return image_svd(M, tol, scale)[0]
+
+
+def image_svd(
+    M: np.ndarray,
+    tol: RankTolerance = DEFAULT_RANK_TOL,
+    scale: float | None = None,
+) -> tuple[BehaviorBasis, np.ndarray]:
+    """`orthonormal_basis(M, tol, scale)` and all singular values of M, from one SVD."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={M.ndim}")
-    if M.shape[1] == 0 or M.size == 0:
-        return BehaviorBasis(M.shape[0], np.zeros((M.shape[0], 0)))
+    if M.size == 0:
+        return BehaviorBasis(M.shape[0], np.zeros((M.shape[0], 0))), np.zeros(0)
     U, s, _ = np.linalg.svd(_thin_factor(M), full_matrices=False)
-    return BehaviorBasis(M.shape[0], U[:, : tol.count(s, M.shape, scale)].copy())
+    return BehaviorBasis(M.shape[0], U[:, : tol.count(s, M.shape, scale)].copy()), s
 
 
 def image_basis(P: Projector) -> BehaviorBasis:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +247,62 @@ class TestSynth:
         assert code == 2
         assert stdout == ""
         assert stderr.startswith("error: projector not idempotent")
+
+
+class TestOneFactorizationPerCommand:
+    """`check` and `synth` each build one Hankel matrix per trajectory they read."""
+
+    @pytest.fixture
+    def case_args(self, tmp_path):
+        case = harness.build_case(6000, "closed_loop")  # channels not in (w, c) order
+        plant_csv, ref_csv = tmp_path / "plant.csv", tmp_path / "ref.csv"
+        signal.write_csv(plant_csv, case.plant_traj)
+        signal.write_csv(ref_csv, case.ref_traj)
+        b, p = case.bounds, case.wc_partition
+        return [
+            "--plant", str(plant_csv),
+            "--ref", str(ref_csv),
+            "--picks-w", ",".join(map(str, p.picks_w)),
+            "--picks-c", ",".join(map(str, p.picks_c)),
+            "--L", str(case.L),
+            "--lag-bound", str(b.lag),
+            "--m-bound", f"{b.m_plant},{b.m_ref}",
+            "--n-bound", f"{b.n_plant},{b.n_ref}",
+        ]  # fmt: skip
+
+    @pytest.fixture
+    def hankel_calls(self, monkeypatch):
+        calls = []
+        original = signal.hankel
+
+        def counting(w, L):
+            calls.append(w)
+            return original(w, L)
+
+        # `from .signal import hankel` binds the function in each importer
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "canonctrl" and getattr(mod, "hankel", None) is original:
+                monkeypatch.setattr(mod, "hankel", counting)
+        return calls
+
+    def test_check_factors_each_trajectory_once(self, case_args, hankel_calls, capsys):
+        code, stdout, _ = run_cli(["check", *case_args], capsys)
+        assert code == 0, stdout
+        assert len(hankel_calls) == 2
+        assert len({id(w) for w in hankel_calls}) == 2
+
+    def test_synth_factors_each_trajectory_once(
+        self, tmp_path, case_args, hankel_calls, capsys
+    ):
+        code, check_out, _ = run_cli(["check", *case_args], capsys)
+        hankel_calls.clear()
+        out = tmp_path / "controller.csv"
+        code, stdout, _ = run_cli(["synth", *case_args, "--out", str(out)], capsys)
+        assert code == 0, stdout
+        assert len(hankel_calls) == 2
+        assert len({id(w) for w in hankel_calls}) == 2
+        # the arranged plant gives the verdict the original channel order gives
+        assert json.loads(stdout)["verdict"] == json.loads(check_out)
 
 
 class TestProptest:

@@ -16,8 +16,15 @@ from canonctrl.implementability import (
     uncontrolled_basis,
 )
 from canonctrl.lti_core import free_model, invariants_of
-from canonctrl.signal import Partition, Trajectory, hankel, select_channels
-from canonctrl.subspace import orthonormal_basis, subspaces_equal
+from canonctrl.signal import (
+    Partition,
+    Trajectory,
+    hankel,
+    hankel_image,
+    is_gpe,
+    select_channels,
+)
+from canonctrl.subspace import RankTolerance, orthonormal_basis, principal_angles, subspaces_equal
 
 
 @pytest.fixture
@@ -109,6 +116,59 @@ class TestUncontrolledBasis:
     def test_zero_w_data(self):
         data = Trajectory(np.column_stack([np.zeros(15), np.ones(15)]))
         assert uncontrolled_basis(data, Partition(2, (1,), (2,)), 2).dim == 0
+
+
+class TestStoredFactorization:
+    """The Hankel factorization stored with a trajectory gives what a fresh one would."""
+
+    @staticmethod
+    def cases(n):
+        for seed in range(n):
+            yield harness.build_case(seed, "closed_loop" if seed % 2 == 0 else "adversarial")
+
+    def test_is_gpe_same_with_and_without_stored_factorization(self):
+        for case in self.cases(40):
+            for traj, m, n in (
+                (case.plant_traj, case.bounds.m_plant, case.bounds.n_plant),
+                (case.ref_traj, case.bounds.m_ref, case.bounds.n_ref),
+            ):
+                fresh = Trajectory(traj.values)
+                unstored = is_gpe(fresh, case.L, m, n)
+                assert not fresh.hankel_images
+                hankel_image(fresh, case.L)
+                assert is_gpe(fresh, case.L, m, n) == unstored, f"seed {case.seed}"
+
+    def test_entries_keyed_by_tolerance(self):
+        case = harness.build_case(4, "closed_loop")
+
+        def bundle():
+            return DataBundle(
+                Trajectory(case.plant_traj.values),
+                Trajectory(case.ref_traj.values),
+                case.L,
+                case.wc_partition,
+                case.bounds,
+            )
+
+        coarse = RankTolerance(1e-1)
+        reused = bundle()
+        default = check_data(reused).to_dict()
+        after_default = check_data(reused, coarse).to_dict()
+        assert after_default == check_data(bundle(), coarse).to_dict()
+        # the coarse cutoff drops directions, so a shared entry would show
+        assert after_default["ranks"] != default["ranks"]
+        assert check_data(reused).to_dict() == default
+
+    def test_uncontrolled_basis_matches_w_channel_hankel(self):
+        for case in self.cases(40):
+            partition = case.wc_partition
+            Pw = uncontrolled_basis(case.plant_traj, partition, case.L)
+            direct = orthonormal_basis(
+                hankel(select_channels(case.plant_traj, partition.picks_w), case.L)
+            )
+            assert Pw.dim == direct.dim, f"seed {case.seed}"
+            angles = principal_angles(Pw, direct)
+            assert angles.size == 0 or angles[0] < 1e-8, f"seed {case.seed}: {angles[0]:.3e}"
 
 
 class TestCheckData:
@@ -384,9 +444,10 @@ class TestLongDataReproducer:
     def test_hidden_basis_memory_stays_in_window_space(self, instance):
         _, partition, _, bundle = instance
         hankel_bytes = partition.total * self.L * (self.T - self.L + 1) * 8
+        plant_traj = Trajectory(bundle.plant_traj.values)  # with no stored factorization
         tracemalloc.start()
         try:
-            hidden_basis(bundle.plant_traj, partition, self.L)
+            hidden_basis(plant_traj, partition, self.L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

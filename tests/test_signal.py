@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,10 @@ class TestPartition:
             arrange_by_partition(w, part).values, [[100, 1, 10], [200, 2, 20]]
         )
 
+    def test_arrange_in_order_returns_input(self):
+        w = Trajectory(np.array([[1.0, 10.0, 100.0], [2.0, 20.0, 200.0]]))
+        assert arrange_by_partition(w, Partition(3, (1, 2), (3,))) is w
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path, rng):
@@ -240,6 +246,21 @@ class TestCsv:
         write_csv(path, w)
         back = read_csv(path)
         assert np.array_equal(back.values, w.values)
+
+    def test_rows_match_csv_writer_and_round_trip_exactly(self, tmp_path, rng):
+        extremes = [-0.0, 5e-324, 1e308, -1e308, 0.1, -2.5e-310, 1.0 / 3.0]
+        values = np.vstack([np.array(extremes).reshape(-1, 1) * np.ones((1, 3)),
+                            rng.standard_normal((5, 3))])  # fmt: skip
+        w = Trajectory(values)
+        path, reference = tmp_path / "fast.csv", tmp_path / "csv_writer.csv"
+        write_csv(path, w)
+        with open(reference, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f)
+            writer.writerow(["ch1", "ch2", "ch3"])
+            for row in w.values:
+                writer.writerow([repr(float(x)) for x in row])
+        assert path.read_bytes() == reference.read_bytes()
+        assert read_csv(path).values.tobytes() == values.tobytes()
 
     def test_headerless_file(self, tmp_path):
         path = tmp_path / "plain.csv"
