@@ -382,7 +382,7 @@ def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResul
     failures: list[str] = []
     bundle = DataBundle(
         case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
-    )
+    ).arranged()
     vd = check_data(bundle, cfg.rank_tol)
     vm = check_model(case.plant, case.wc_partition, case.ref_model, case.L, cfg.rank_tol)
     if not (vd.gpe_plant and vd.gpe_ref):

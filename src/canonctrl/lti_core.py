@@ -4,10 +4,11 @@ Models here are the ground truth against which all data-driven
 representations are cross-checked: a minimal (A, B, C, D) realization plus a
 placement of its inputs/outputs in the full variable vector.  Restricted
 behaviors are built from n + m simulations, shifted by time invariance,
-never through kernel representations.  :func:`hidden_restricted_basis` reads
-the hidden behavior off any orthonormal basis of a joint restricted behavior
--- the oracle's window map image or the data route's Hankel image -- so both
-routes share one section function.
+never through kernel representations.  A simulation steps only the state
+sequentially; the input term `B u` and the outputs are whole-array products.
+:func:`hidden_restricted_basis` reads the hidden behavior off any orthonormal
+basis of a joint restricted behavior -- the oracle's window map image or the
+data route's Hankel image -- so both routes share one section function.
 """
 
 from __future__ import annotations
@@ -150,7 +151,9 @@ def simulate(
     """Simulate the model, returning the full-variable trajectory.
 
     For models with inputs, `u` drives the recursion and sets the length; an
-    autonomous model takes `T` instead.  x0 defaults to zero.
+    autonomous model takes `T` instead.  x0 defaults to zero.  Only the state
+    recursion runs sample by sample; `B u` and the outputs `C x + D u` are
+    whole-array products over all T samples.
     """
     if model.m > 0:
         if u is None:
@@ -172,13 +175,14 @@ def simulate(
     if x.shape != (model.n,):
         raise DimensionError(f"x0 has shape {x.shape}, expected ({model.n},)")
 
-    out = np.empty((length, model.q))
-    u_cols = [pick - 1 for pick in model.input_picks]
-    y_cols = [pick - 1 for pick in model.output_picks]
+    BU = U @ model.B.T
+    X = np.empty((length, model.n))
     for t in range(length):
-        out[t, u_cols] = U[t]
-        out[t, y_cols] = model.C @ x + model.D @ U[t]
-        x = model.A @ x + model.B @ U[t]
+        X[t] = x
+        x = model.A @ x + BU[t]
+    out = np.empty((length, model.q))
+    out[:, [pick - 1 for pick in model.input_picks]] = U
+    out[:, [pick - 1 for pick in model.output_picks]] = X @ model.C.T + U @ model.D.T
     return Trajectory(out)
 
 

@@ -191,23 +191,6 @@ def is_gpe(
     return achieved == target, achieved
 
 
-def select_channels(w: Trajectory, picks: tuple[int, ...]) -> Trajectory:
-    """Sub-trajectory of the 1-based channels `picks`, in the given order."""
-    if not picks:
-        raise PartitionError("cannot select an empty channel set")
-    if any(not 1 <= p <= w.q for p in picks):
-        raise PartitionError(f"picks {picks} outside 1..{w.q}")
-    idx = [p - 1 for p in picks]
-    return Trajectory(w.values[:, idx])
-
-
-def stack_channels(first: Trajectory, second: Trajectory) -> Trajectory:
-    """Channel-concatenate two trajectories of equal length."""
-    if first.T != second.T:
-        raise DimensionError(f"lengths differ: {first.T} vs {second.T}")
-    return Trajectory(np.hstack([first.values, second.values]))
-
-
 def arrange_by_partition(w: Trajectory, partition: Partition) -> Trajectory:
     """Reorder channels to (picks_w block, then picks_c block).
 

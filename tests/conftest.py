@@ -1,8 +1,11 @@
 """Shared helpers: independent oracles the library code must agree with."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from canonctrl import signal
 from canonctrl.subspace import BehaviorBasis, orthonormal_basis
 
 
@@ -33,3 +36,20 @@ def kernel_method_intersection(QA: np.ndarray, QB: np.ndarray) -> BehaviorBasis:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def hankel_calls(monkeypatch):
+    """Records the trajectory of every `signal.hankel` call the package makes."""
+    calls = []
+    original = signal.hankel
+
+    def counting(w, L):
+        calls.append(w)
+        return original(w, L)
+
+    # `from .signal import hankel` binds the function in each importer
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "canonctrl" and getattr(mod, "hankel", None) is original:
+            monkeypatch.setattr(mod, "hankel", counting)
+    return calls

@@ -1,5 +1,4 @@
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -204,7 +203,7 @@ class TestSynth:
         # reuse the plant's own w channel as the reference
         data = signal.read_csv(fixtures["static_data"])
         w_path = tmp_path / "ref_w.csv"
-        signal.write_csv(w_path, signal.select_channels(data, (1,)))
+        signal.write_csv(w_path, signal.Trajectory(data.values[:, [0]]))
         out = tmp_path / "controller.csv"
         code, stdout, _ = run_cli(
             ["synth",
@@ -269,21 +268,6 @@ class TestOneFactorizationPerCommand:
             "--m-bound", f"{b.m_plant},{b.m_ref}",
             "--n-bound", f"{b.n_plant},{b.n_ref}",
         ]  # fmt: skip
-
-    @pytest.fixture
-    def hankel_calls(self, monkeypatch):
-        calls = []
-        original = signal.hankel
-
-        def counting(w, L):
-            calls.append(w)
-            return original(w, L)
-
-        # `from .signal import hankel` binds the function in each importer
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "canonctrl" and getattr(mod, "hankel", None) is original:
-                monkeypatch.setattr(mod, "hankel", counting)
-        return calls
 
     def test_check_factors_each_trajectory_once(self, case_args, hankel_calls, capsys):
         code, stdout, _ = run_cli(["check", *case_args], capsys)

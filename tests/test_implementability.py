@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from canonctrl import harness, implementability, lti_core
+from canonctrl.canonical import synthesize
 from canonctrl.errors import DimensionError, GenerationError, HorizonError, PartitionError
 from canonctrl.implementability import (
     DataBundle,
@@ -22,7 +23,6 @@ from canonctrl.signal import (
     hankel,
     hankel_image,
     is_gpe,
-    select_channels,
 )
 from canonctrl.subspace import RankTolerance, orthonormal_basis, principal_angles, subspaces_equal
 
@@ -62,7 +62,7 @@ class TestHiddenBasis:
         data = Trajectory(np.column_stack([w, np.zeros(20)]))
         partition = Partition(2, (1,), (2,))
         N = hidden_basis(data, partition, 3)
-        H = orthonormal_basis(hankel(select_channels(data, (1,)), 3))
+        H = orthonormal_basis(hankel(Trajectory(data.values[:, [0]]), 3))
         assert subspaces_equal(N, H)[0]
 
     def test_partition_required(self, static_case):
@@ -163,9 +163,8 @@ class TestStoredFactorization:
         for case in self.cases(40):
             partition = case.wc_partition
             Pw = uncontrolled_basis(case.plant_traj, partition, case.L)
-            direct = orthonormal_basis(
-                hankel(select_channels(case.plant_traj, partition.picks_w), case.L)
-            )
+            w = Trajectory(case.plant_traj.values[:, [p - 1 for p in partition.picks_w]])
+            direct = orthonormal_basis(hankel(w, case.L))
             assert Pw.dim == direct.dim, f"seed {case.seed}"
             angles = principal_angles(Pw, direct)
             assert angles.size == 0 or angles[0] < 1e-8, f"seed {case.seed}: {angles[0]:.3e}"
@@ -195,7 +194,7 @@ class TestCheckData:
 
     def test_reference_equal_to_own_w_data(self, integrator_case):
         plant, partition, data = integrator_case
-        w = select_channels(data, partition.picks_w)
+        w = Trajectory(data.values[:, [p - 1 for p in partition.picks_w]])
         proj_inv = invariants_of(plant)
         bundle = DataBundle(
             data, w, 2, partition, InvariantBounds(1, 1, 1, 0, 1)
@@ -349,6 +348,16 @@ class TestConsistencyProperties:
             result = harness.evaluate_case(case)
             assert result.passed, f"seed {seed + 300}: {result.failures}"
 
+    def test_evaluate_case_factors_each_trajectory_once(self, hankel_calls):
+        # channels not in (w, c) order: the check reads the arranged plant,
+        # so synthesis reuses its stored factorization
+        case = harness.build_case(6000, "closed_loop")
+        hankel_calls.clear()  # the excitation tests of the case's construction
+        result = harness.evaluate_case(case)
+        assert result.passed, result.failures
+        assert len(hankel_calls) == 2
+        assert sum(w is case.ref_traj for w in hankel_calls) == 1
+
     def test_batch_counts_failures_per_check(self, monkeypatch):
         evaluate, build = harness.evaluate_case, harness.build_case
 
@@ -466,3 +475,15 @@ class TestLongDataReproducer:
         assert vd.gpe_ref and vd.rank_ref == 193, vd.to_json()
         assert vd.implementable, vd.to_json()
         assert vd.implementable == vm.implementable
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="projector intersection keeps a spurious direction: controller 122-dim, "
+        "controlled behavior 134-dim against a 133-dim reference; window-space "
+        "synthesis (ROADMAP Open item 4) is the fix",
+    )
+    def test_synthesis_verifies_fourth_draw(self):
+        *_, bundle = long_data_draw(3, self.T, self.L)
+        syn = synthesize(bundle.arranged())
+        report = syn.report
+        assert syn.verified, (syn.controller.dim, report.dim_controlled, report.dim_reference)

@@ -87,6 +87,30 @@ class TestStateSpaceModel:
             )
 
 
+def stepwise_simulate(model, U, x0):
+    """Reference simulation: outputs and state update one sample at a time."""
+    out = np.empty((U.shape[0], model.q))
+    u_cols = [pick - 1 for pick in model.input_picks]
+    y_cols = [pick - 1 for pick in model.output_picks]
+    x = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float)
+    for t in range(U.shape[0]):
+        out[t, u_cols] = U[t]
+        out[t, y_cols] = model.C @ x + model.D @ U[t]
+        x = model.A @ x + model.B @ U[t]
+    return out
+
+
+def simulate_both(model, T, x0, rng):
+    """(simulate's values, the stepwise reference's values, the input array)."""
+    if model.m == 0:
+        U = np.zeros((T, 0))
+        out = simulate(model, T=T, x0=x0)
+    else:
+        U = rng.standard_normal((T, model.m))
+        out = simulate(model, Trajectory(U), x0=x0)
+    return out.values, stepwise_simulate(model, U, x0), U
+
+
 class TestSimulate:
     def test_static_identity(self):
         u = Trajectory(np.array([[1.0], [-1.0], [2.0]]))
@@ -99,19 +123,47 @@ class TestSimulate:
         assert np.array_equal(out.values[:, 1], [0, 1])
 
     def test_matches_independent_recursion(self, rng):
-        model, _ = random_minimal_model(2, 2, 3, seed=5)
-        T = 12
-        u = Trajectory(rng.standard_normal((T, model.m)))
+        for seed in range(30):
+            q_w, q_c, n = 1 + seed % 3, 1 + seed % 2, seed % 6
+            model, _ = random_minimal_model(q_w, q_c, n, seed=seed)
+            T = int(rng.integers(1, 400))
+            x0 = rng.standard_normal(model.n) if seed % 2 else None
+            got, want, _ = simulate_both(model, T, x0, rng)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (seed, T)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            harness.static_plant()[0],  # n = 0
+            harness.decaying_reference(),  # m = 0
+            free_model(2),  # p = 0
+            integrator_model(),
+        ],
+        ids=["n0", "m0", "p0", "integrator"],
+    )
+    @pytest.mark.parametrize("T", [1, 7])
+    @pytest.mark.parametrize("given_x0", [False, True])
+    def test_degenerate_dimensions(self, model, T, given_x0, rng):
+        x0 = rng.standard_normal(model.n) if given_x0 else None
+        got, want, U = simulate_both(model, T, x0, rng)
+        assert got.shape == (T, model.q)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        # input columns are copied, not computed
+        assert np.array_equal(got[:, [pick - 1 for pick in model.input_picks]], U)
+
+    def test_input_columns_copied_bit_for_bit(self, rng):
+        model, _ = random_minimal_model(3, 2, 5, seed=11)
+        U = rng.standard_normal((200, model.m))
+        out = simulate(model, Trajectory(U), x0=rng.standard_normal(model.n))
+        assert np.array_equal(out.values[:, [pick - 1 for pick in model.input_picks]], U)
+
+    def test_repeat_calls_byte_identical(self, rng):
+        model, _ = random_minimal_model(4, 3, 12, seed=3)
+        u = Trajectory(rng.standard_normal((2000, model.m)))
         x0 = rng.standard_normal(model.n)
-        out = simulate(model, u, x0=x0)
-        x = x0.copy()
-        for t in range(T):
-            y = model.C @ x + model.D @ u.values[t]
-            full = np.empty(model.q)
-            full[[pk - 1 for pk in model.input_picks]] = u.values[t]
-            full[[pk - 1 for pk in model.output_picks]] = y
-            assert np.allclose(out.values[t], full, atol=1e-12)
-            x = model.A @ x + model.B @ u.values[t]
+        first, second = simulate(model, u, x0=x0), simulate(model, u, x0=x0)
+        assert first.values.tobytes() == second.values.tobytes()
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):

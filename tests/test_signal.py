@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from canonctrl.signal import (
     hankel,
     is_gpe,
     read_csv,
-    select_channels,
     shift,
-    stack_channels,
     write_csv,
 )
 
@@ -220,12 +219,15 @@ class TestPartition:
         rows = channel_rows((2,), q_total=3, L=2)
         assert np.array_equal(rows, [1, 4])
 
-    def test_select_and_stack(self):
+    def test_arrange_round_trip(self):
+        # arranging by a partition, then by the inverse order, gives w back
         w = Trajectory(np.array([[1.0, 10.0, 100.0], [2.0, 20.0, 200.0]]))
-        sub = select_channels(w, (3, 1))
-        assert np.array_equal(sub.values, [[100, 1], [200, 2]])
-        back = stack_channels(select_channels(w, (1,)), select_channels(w, (2, 3)))
-        assert np.array_equal(back.values, w.values)
+        for order in itertools.permutations((1, 2, 3)):
+            for split in (1, 2):
+                arranged = arrange_by_partition(w, Partition(3, order[:split], order[split:]))
+                inverse = tuple(order.index(i) + 1 for i in (1, 2, 3))
+                back = arrange_by_partition(arranged, Partition(3, inverse[:1], inverse[1:]))
+                assert np.array_equal(back.values, w.values), (order, split)
 
     def test_arrange_by_partition(self):
         w = Trajectory(np.array([[1.0, 10.0, 100.0], [2.0, 20.0, 200.0]]))
