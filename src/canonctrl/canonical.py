@@ -7,18 +7,17 @@ the canonical interleaved layout: the lifts place their blocks directly at
 the w and c positions that :class:`PermutationPlan` reads off
 :func:`canonctrl.signal.channel_rows`.
 
-Trajectories entering this module must already carry their channels in
-(w-block, c-block) order; use :func:`canonctrl.signal.arrange_by_partition`.
-:func:`synthesize` runs the whole sequence on a measured data bundle.  Its
+Plant trajectories entering this module must carry their channels in
+(w-block, c-block) order, as a :class:`~canonctrl.implementability.DataBundle`
+holds them (:func:`canonctrl.signal.arrange_by_partition` arranges any
+other).  :func:`synthesize` runs the whole sequence on a bundle.  Its
 projectors read the Hankel factorizations stored with the trajectories
-(:func:`canonctrl.signal.hankel_image`), so a bundle already checked in
-arranged form is factored no further, and it hands the closed-loop check
-the bases the two projectors hold.
+(:func:`canonctrl.signal.hankel_image`), so a checked bundle is factored no
+further, and the closed-loop check gets the bases the check stored.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyBasisError
 from .implementability import DataBundle, reference_basis
-from .signal import Trajectory, arrange_by_partition, channel_rows, hankel_image, write_float_rows
+from .signal import Trajectory, channel_rows, hankel_image, read_float_rows, write_float_rows
 from .subspace import (
     DEFAULT_ANGLE_TOL,
     DEFAULT_RANK_TOL,
@@ -261,17 +260,15 @@ def synthesize(
     Builds the plant and reference-lift projectors, synthesizes the
     controller, and checks that the plant interconnected with it reproduces
     the reference.  Each trajectory is factored at most once: the plant
-    basis of that check is the one P_p holds, and the reference basis the w
-    rows of the leading (non-unit) columns of P_r's lift.
+    basis of that check is the one P_p holds, and the reference basis the
+    one P_r's lift was built from.
     """
-    partition, L = bundle.partition, bundle.L
-    plan = PermutationPlan(partition.n_w, partition.n_c, L)
-    arranged = arrange_by_partition(bundle.plant_traj, partition)
-    P_p = plant_projector(arranged, L, tol)
+    L = bundle.L
+    plan = PermutationPlan(bundle.partition.n_w, bundle.partition.n_c, L)
+    P_p = plant_projector(bundle.plant_traj, L, tol)
     P_r = reference_lift_projector(bundle.ref_traj, plan.k, L, plan, tol)
     ctrl = controller_basis(P_r, P_p, plan, tol)
-    r = P_r.basis.dim - plan.k * L
-    R_basis = BehaviorBasis(plan.q * L, P_r.basis.basis[plan.w_rows, :r])
+    R_basis = reference_basis(bundle.ref_traj, L, tol)
     verified, report = verify_closed_loop(P_p.basis, ctrl, R_basis, plan, tol, angle_tol)
     return Synthesis(plan, P_p, P_r, ctrl, verified, report)
 
@@ -308,18 +305,12 @@ def write_controller_csv(path, C: ControllerBasis) -> None:
 
 
 def read_controller_csv(path) -> ControllerBasis:
-    """Read back a controller basis written by `write_controller_csv`."""
+    """Read back a controller basis written by `write_controller_csv`; no rows: 0-dim."""
     path = Path(path)
     with open(path.with_suffix(".json"), encoding="utf-8") as f:
         meta = json.load(f)
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.reader(f):
-            if row:
-                rows.append([float(x) for x in row])
     k, L = int(meta["k"]), int(meta["L"])
-    if not rows:
+    matrix = read_float_rows(path)
+    if matrix.size == 0:
         matrix = np.zeros((k * L, 0))
-    else:
-        matrix = np.array(rows)
     return ControllerBasis(orthonormal_basis(matrix), k, L)

@@ -94,9 +94,7 @@ def _bundle_from_args(args) -> tuple[DataBundle, float]:
     n_plant, n_ref = _parse_bound_pair(_opt(args, "n_bound", required=True))
     bounds = InvariantBounds(m_plant, n_plant, m_ref, n_ref, lag_bound)
     residual_tol = float(_opt(args, "tol", default=1e-8))
-    # in synthesis order: `check` and `synth` then compute the same verdict, and
-    # synthesis reuses the plant factorization that the check stored
-    return DataBundle(plant, ref, L, partition, bounds).arranged(), residual_tol
+    return DataBundle(plant, ref, L, partition, bounds), residual_tol
 
 
 def cmd_check(args) -> int:
@@ -207,6 +205,7 @@ def main(argv=None) -> int:
         ValueError,
         OSError,
         KeyError,
+        TypeError,
         json.JSONDecodeError,
         NumericalDegeneracyError,
     ) as exc:

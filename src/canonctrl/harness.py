@@ -380,9 +380,7 @@ def build_case(seed: int, kind: str, cfg: HarnessConfig = HarnessConfig()) -> Ca
 def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResult:
     """Run every cross-check on one case; failures are named for replay."""
     failures: list[str] = []
-    bundle = DataBundle(
-        case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
-    ).arranged()
+    bundle = DataBundle(case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds)
     vd = check_data(bundle, cfg.rank_tol)
     vm = check_model(case.plant, case.wc_partition, case.ref_model, case.L, cfg.rank_tol)
     if not (vd.gpe_plant and vd.gpe_ref):

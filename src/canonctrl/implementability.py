@@ -9,17 +9,18 @@ oracles; the two must agree whenever the data is sufficiently exciting.
 
 Every data subspace is read off the orthonormal image basis of a Hankel
 matrix, in the window space: no matrix is ever indexed by data length on
-both sides.  Each trajectory is factored once
+both sides.  A :class:`DataBundle` holds its plant in the (w, c) order
+synthesis reads, and each trajectory is factored once
 (:func:`canonctrl.signal.hankel_image` stores the factorization with it),
-and the excitation tests count the singular values stored there.  Both
-routes read N and P_w off a joint plant basis the same way: N is its
-section at c = 0 and P_w the span of its w rows.
+so the excitation tests and synthesis reuse it.  Both routes read N and
+P_w off a joint plant basis the same way: N is its section at c = 0 and
+P_w the span of its w rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +59,12 @@ class InvariantBounds:
 
 @dataclass(frozen=True, eq=False)
 class DataBundle:
-    """Measured plant and reference trajectories plus the test configuration."""
+    """Measured plant and reference trajectories plus the test configuration.
+
+    The plant is held in (w, c) order, with the in-order partition
+    (1..n_w | n_w+1..total), so a check and a synthesis of the bundle share
+    one plant trajectory and its stored factorization.
+    """
 
     plant_traj: Trajectory
     ref_traj: Trajectory
@@ -67,32 +73,19 @@ class DataBundle:
     bounds: InvariantBounds | None = None
 
     def __post_init__(self):
-        self.partition.require_control_split()
-        if self.plant_traj.q != self.partition.total:
-            raise DimensionError(
-                f"plant has {self.plant_traj.q} channels, partition {self.partition.total}"
-            )
-        if self.ref_traj.q != self.partition.n_w:
-            raise DimensionError(
-                f"reference has {self.ref_traj.q} channels, expected {self.partition.n_w}"
-            )
+        p = self.partition
+        p.require_control_split()
+        if self.plant_traj.q != p.total:
+            raise DimensionError(f"plant has {self.plant_traj.q} channels, partition {p.total}")
+        if self.ref_traj.q != p.n_w:
+            raise DimensionError(f"reference has {self.ref_traj.q} channels, expected {p.n_w}")
         if not 1 <= self.L <= min(self.plant_traj.T, self.ref_traj.T):
             raise ValueError(
                 f"L={self.L} outside [1, {min(self.plant_traj.T, self.ref_traj.T)}]"
             )
-
-    def arranged(self) -> DataBundle:
-        """The same data with the plant's channels in (w, c) order, as synthesis reads them.
-
-        Checking and synthesizing this bundle share one plant factorization.
-        """
-        p = self.partition
-        in_order = Partition(
-            p.total, tuple(range(1, p.n_w + 1)), tuple(range(p.n_w + 1, p.total + 1))
-        )
-        return replace(
-            self, plant_traj=arrange_by_partition(self.plant_traj, p), partition=in_order
-        )
+        in_order = Partition(p.total, range(1, p.n_w + 1), range(p.n_w + 1, p.total + 1))
+        object.__setattr__(self, "plant_traj", arrange_by_partition(self.plant_traj, p))
+        object.__setattr__(self, "partition", in_order)
 
 
 @dataclass(frozen=True, eq=False)

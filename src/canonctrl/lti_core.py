@@ -446,16 +446,9 @@ def model_to_dict(model: StateSpaceModel) -> dict:
 
 
 def model_from_dict(d: dict) -> StateSpaceModel:
-    picks_u = tuple(int(i) for i in d["picks_w"])
-    picks_y = tuple(int(i) for i in d["picks_c"])
-    m, p = len(picks_u), len(picks_y)
-    A = np.asarray(d["A"], dtype=float)
-    n = A.shape[0] if A.ndim == 2 else (0 if A.size == 0 else 1)
-    A = A.reshape(n, n)
-    B = np.asarray(d["B"], dtype=float).reshape(n, m)
-    C = np.asarray(d["C"], dtype=float).reshape(p, n)
-    D = np.asarray(d["D"], dtype=float).reshape(p, m)
-    return StateSpaceModel(A, B, C, D, Partition(m + p, picks_u, picks_y))
+    picks_u, picks_y = tuple(d["picks_w"]), tuple(d["picks_c"])
+    partition = Partition(len(picks_u) + len(picks_y), picks_u, picks_y)
+    return StateSpaceModel(d["A"], d["B"], d["C"], d["D"], partition)
 
 
 def write_model_json(path, model: StateSpaceModel) -> None:

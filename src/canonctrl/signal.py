@@ -230,11 +230,13 @@ def write_csv(path, w: Trajectory) -> None:
         write_float_rows(f, w.values)
 
 
-def read_csv(path) -> Trajectory:
-    """Read a trajectory CSV; a `ch1,...,chq` header (first non-blank row) is optional.
+def read_float_rows(path) -> np.ndarray:
+    """Rows of floats from a CSV, the mirror of :func:`write_float_rows`.
 
-    Rows of blank cells are skipped; ragged rows and non-numeric or
-    non-finite (nan, inf) entries are rejected.
+    A `ch1,...,chq` header (first non-blank row) is optional and rows of
+    blank cells are skipped; ragged rows and non-numeric or non-finite (nan,
+    inf) entries are rejected with their line number.  No rows give a
+    (0, 0) array.
     """
     rows: list[list[float]] = []
     linenos: list[int] = []
@@ -258,11 +260,17 @@ def read_csv(path) -> Trajectory:
                 )
             rows.append(vals)
             linenos.append(lineno)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    values = np.array(rows)
+    values = np.array(rows) if rows else np.zeros((0, 0))
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         lineno = linenos[int(np.argmin(finite))]
         raise ValueError(f"{path}: non-finite entry on line {lineno}")
+    return values
+
+
+def read_csv(path) -> Trajectory:
+    """Read a trajectory CSV, validated by :func:`read_float_rows`; it needs a data row."""
+    values = read_float_rows(path)
+    if not values.size:
+        raise ValueError(f"{path}: no data rows")
     return Trajectory(values)

@@ -24,7 +24,7 @@ from canonctrl.canonical import (
     write_controller_csv,
 )
 from canonctrl.errors import DimensionError, EmptyBasisError
-from canonctrl.implementability import DataBundle, reference_basis
+from canonctrl.implementability import DataBundle, check_data, reference_basis
 from canonctrl.lti_core import (
     free_model,
     invariants_of,
@@ -375,8 +375,30 @@ class TestSynthesize:
         assert len(hankel_calls) == 2
         ref_calls = [w for w in hankel_calls if w is bundle.ref_traj]
         plant_calls = [w for w in hankel_calls if w is not bundle.ref_traj]
-        assert len(ref_calls) == 1 and len(plant_calls) == 1
-        assert plant_calls[0].values.shape == bundle.plant_traj.values.shape
+        assert len(ref_calls) == 1 and plant_calls == [bundle.plant_traj]
+
+    def test_check_then_synthesize_factors_each_trajectory_once(self, hankel_calls):
+        case = harness.build_case(6000, "closed_loop")  # channels not in (w, c) order
+        bundle = DataBundle(
+            case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
+        )
+        hankel_calls.clear()  # the excitation tests of the case's construction
+        assert check_data(bundle).implementable
+        assert synthesize(bundle).verified
+        assert len(hankel_calls) == 2
+        assert {id(w) for w in hankel_calls} == {id(bundle.plant_traj), id(bundle.ref_traj)}
+
+    def test_report_is_verification_against_reference_basis(self):
+        for seed, kind in ((6000, "closed_loop"), (6001, "adversarial")):
+            case = harness.build_case(seed, kind)
+            bundle = DataBundle(
+                case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
+            )
+            syn = synthesize(bundle)
+            verified, report = verify_closed_loop(
+                syn.P_p.basis, syn.controller, reference_basis(case.ref_traj, case.L), syn.plan
+            )
+            assert report == syn.report and verified == syn.verified
 
     def test_one_square_factorization_inside_intersect(self, monkeypatch):
         case = harness.build_case(6000, "closed_loop")
@@ -456,6 +478,30 @@ class TestControllerExport:
         back = read_controller_csv(path)
         assert back.k == 1 and back.L == 2
         assert subspaces_equal(back.basis, ctrl.basis)[0]
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1.0\nnan\n", "non-finite entry on line 2"),
+            ("1.0,2.0\n3.0\n", "ragged row on line 2"),
+            ("1.0\n\nx\n", "non-numeric entry on line 3"),
+        ],
+    )
+    def test_malformed_basis_rejected_with_line(self, tmp_path, rows, message):
+        path = tmp_path / "controller.csv"
+        path.write_text(rows)
+        (tmp_path / "controller.json").write_text('{"k": 1, "L": 2}')
+        with pytest.raises(ValueError, match=message):
+            read_controller_csv(path)
+
+    def test_empty_file_is_zero_dim_controller(self, tmp_path):
+        ctrl = ControllerBasis(orthonormal_basis(np.zeros((4, 0))), 2, 2)
+        path = tmp_path / "controller.csv"
+        write_controller_csv(path, ctrl)  # kL blank rows
+        for text in (path.read_text(), ""):
+            path.write_text(text)
+            back = read_controller_csv(path)
+            assert (back.k, back.L, back.dim, back.basis.ambient_dim) == (2, 2, 0, 4)
 
     def test_lift_shape(self):
         plan = PermutationPlan(2, 1, 2)

@@ -51,6 +51,24 @@ def check_args(paths, plant_key, lag, n_plant, extra=()):
     ]
 
 
+def write_static_config(tmp_path, fixtures, **overrides):
+    """A --config JSON holding the static-fixture check options, plus overrides."""
+    config = {
+        "plant": str(fixtures["static_data"]),
+        "ref": str(fixtures["ref"]),
+        "picks_w": "1",
+        "picks_c": "2",
+        "L": 2,
+        "lag_bound": 0,
+        "m_bound": "1,0",
+        "n_bound": "0,1",
+        **overrides,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return cfg_path
+
+
 class TestSimulate:
     def test_writes_expected_shape(self, tmp_path, fixtures, capsys):
         out = tmp_path / "sim.csv"
@@ -131,34 +149,12 @@ class TestCheck:
         assert "non-finite entry on line 6" in err
 
     def test_config_file_supplies_defaults(self, tmp_path, fixtures, capsys):
-        config = {
-            "plant": str(fixtures["static_data"]),
-            "ref": str(fixtures["ref"]),
-            "picks_w": "1",
-            "picks_c": "2",
-            "L": 2,
-            "lag_bound": 0,
-            "m_bound": "1,0",
-            "n_bound": "0,1",
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path = write_static_config(tmp_path, fixtures)
         code, stdout, _ = run_cli(["check", "--config", str(cfg_path)], capsys)
         assert code == 0
 
     def test_flags_override_config(self, tmp_path, fixtures, capsys):
-        config = {
-            "plant": str(fixtures["static_data"]),
-            "ref": str(fixtures["ref"]),
-            "picks_w": "1",
-            "picks_c": "2",
-            "L": 2,
-            "lag_bound": 0,
-            "m_bound": "1,0",
-            "n_bound": "0,1",
-        }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path = write_static_config(tmp_path, fixtures)
         # override the plant with the integrator dataset: verdict flips
         code, _, _ = run_cli(
             ["check", "--config", str(cfg_path),
@@ -167,6 +163,36 @@ class TestCheck:
             capsys,
         )
         assert code == 1
+
+
+class TestMalformedInputs:
+    """Wrongly typed inputs are input errors (exit 2), never a definite negative."""
+
+    def assert_input_error(self, args, capsys):
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["check", "synth"])
+    def test_list_valued_horizon_in_config(self, tmp_path, fixtures, capsys, command):
+        cfg_path = write_static_config(tmp_path, fixtures, L=[1])
+        extra = ["--out", str(tmp_path / "controller.csv")] if command == "synth" else []
+        self.assert_input_error([command, "--config", str(cfg_path), *extra], capsys)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"A": [], "B": [], "C": [], "D": [[1.0]], "picks_w": 1, "picks_c": [2]},
+        ],
+    )
+    def test_malformed_model_json(self, tmp_path, capsys, payload):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        self.assert_input_error(
+            ["simulate", "--model", str(model), "--T", "5", "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
 
 
 class TestSynth:

@@ -339,6 +339,32 @@ class TestBundleValidation:
         with pytest.raises(ValueError):
             DataBundle(data, ref_data, 99, partition, None)
 
+    def test_holds_plant_in_synthesis_order(self):
+        case = harness.build_case(6000, "closed_loop")  # channels not in (w, c) order
+        p = case.wc_partition
+        assert p.picks_w + p.picks_c != tuple(range(1, p.total + 1))
+        bundle = DataBundle(case.plant_traj, case.ref_traj, case.L, p, case.bounds)
+        order = [i - 1 for i in p.picks_w + p.picks_c]
+        assert np.array_equal(bundle.plant_traj.values, case.plant_traj.values[:, order])
+        in_order = Partition(p.total, range(1, p.n_w + 1), range(p.n_w + 1, p.total + 1))
+        assert bundle.partition == in_order
+        by_hand = DataBundle(
+            Trajectory(case.plant_traj.values[:, order]),
+            case.ref_traj,
+            case.L,
+            in_order,
+            case.bounds,
+        )
+        verdict, expected = check_data(bundle), check_data(by_hand)
+        assert verdict.implementable, verdict.to_json()
+        assert verdict.to_dict() == expected.to_dict()
+
+    def test_in_order_plant_kept_as_given(self, static_case, decay_ref):
+        _, partition, data = static_case
+        _, ref_data = decay_ref
+        bundle = DataBundle(data, ref_data, 2, partition, None)
+        assert bundle.plant_traj is data and bundle.partition == partition
+
 
 class TestConsistencyProperties:
     def test_data_and_model_agree(self):
@@ -349,8 +375,8 @@ class TestConsistencyProperties:
             assert result.passed, f"seed {seed + 300}: {result.failures}"
 
     def test_evaluate_case_factors_each_trajectory_once(self, hankel_calls):
-        # channels not in (w, c) order: the check reads the arranged plant,
-        # so synthesis reuses its stored factorization
+        # channels not in (w, c) order: the bundle holds the arranged plant,
+        # so synthesis reuses the factorization the check stored
         case = harness.build_case(6000, "closed_loop")
         hankel_calls.clear()  # the excitation tests of the case's construction
         result = harness.evaluate_case(case)
@@ -451,12 +477,12 @@ class TestLongDataReproducer:
         assert vd.implementable == vm.implementable
 
     def test_hidden_basis_memory_stays_in_window_space(self, instance):
-        _, partition, _, bundle = instance
-        hankel_bytes = partition.total * self.L * (self.T - self.L + 1) * 8
+        *_, bundle = instance
+        hankel_bytes = bundle.partition.total * self.L * (self.T - self.L + 1) * 8
         plant_traj = Trajectory(bundle.plant_traj.values)  # with no stored factorization
         tracemalloc.start()
         try:
-            hidden_basis(plant_traj, partition, self.L)
+            hidden_basis(plant_traj, bundle.partition, self.L)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,12 +504,13 @@ class TestLongDataReproducer:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="projector intersection keeps a spurious direction: controller 122-dim, "
         "controlled behavior 134-dim against a 133-dim reference; window-space "
         "synthesis (ROADMAP Open item 4) is the fix",
     )
     def test_synthesis_verifies_fourth_draw(self):
         *_, bundle = long_data_draw(3, self.T, self.L)
-        syn = synthesize(bundle.arranged())
+        syn = synthesize(bundle)
         report = syn.report
         assert syn.verified, (syn.controller.dim, report.dim_controlled, report.dim_reference)

@@ -470,3 +470,16 @@ class TestModelJson:
         d = model_to_dict(identity_model())
         assert set(d) == {"A", "B", "C", "D", "picks_w", "picks_c"}
         assert model_from_dict(d).q == 2
+
+    def test_wrongly_sized_matrix_named(self):
+        d = model_to_dict(random_minimal_model(2, 1, 3, seed=9)[0])
+        d["B"] = d["B"][:-1]
+        with pytest.raises(DimensionError, match="B must have shape"):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize("A", [0.5, [0.5]])
+    def test_unnested_state_matrix_rejected(self, A):
+        d = model_to_dict(integrator_model())
+        d["A"] = A
+        with pytest.raises(DimensionError, match="A must be square"):
+            model_from_dict(d)

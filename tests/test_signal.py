@@ -16,8 +16,10 @@ from canonctrl.signal import (
     hankel,
     is_gpe,
     read_csv,
+    read_float_rows,
     shift,
     write_csv,
+    write_float_rows,
 )
 
 
@@ -301,5 +303,18 @@ class TestCsv:
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("ch1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no data rows"):
             read_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n \n", "ch1,ch2\n"])
+    def test_float_rows_of_no_rows(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert read_float_rows(path).shape == (0, 0)
+
+    def test_float_rows_mirror_writer(self, tmp_path, rng):
+        values = rng.standard_normal((6, 4))
+        path = tmp_path / "rows.csv"
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            write_float_rows(f, values)
+        assert read_float_rows(path).tobytes() == values.tobytes()
