@@ -5,7 +5,9 @@ intersection of the plant's restricted behavior with the lift of the
 reference (reference on w, anything on c).  All projector algebra happens in
 the canonical interleaved layout: the lifts place their blocks directly at
 the w and c positions that :class:`PermutationPlan` reads off
-:func:`canonctrl.signal.channel_rows`.
+:func:`canonctrl.signal.channel_rows`.  The paper's formula
+(:func:`controller_basis`) is the only d x d algebra; intersections are
+sections of bases (:func:`canonctrl.subspace.intersect`).
 
 Plant trajectories entering this module must carry their channels in
 (w-block, c-block) order, as a :class:`~canonctrl.implementability.DataBundle`
@@ -179,11 +181,12 @@ def controller_basis_intersection_route(
     plan: PermutationPlan,
     tol: RankTolerance = DEFAULT_RANK_TOL,
 ) -> ControllerBasis:
-    """Same controller subspace through the full projector-intersection route.
+    """Same controller subspace through the subspace intersection.
 
-    Intersects the two projectors (symmetric, idempotent result), then takes
-    the c rows of the intersection's image.  Agrees with `controller_basis`
-    up to numerical tolerance; kept as an independent cross-check.
+    Intersects the two projectors' images, then takes the c rows.  Agrees
+    with `controller_basis` up to numerical tolerance; kept as an independent
+    cross-check.  It decides a nearly touching pair on sin(theta), where the
+    formula sees theta^2 / 2, so it can drop a direction the formula keeps.
     """
     image = intersect(P_r, P_p, tol).basis.basis
     return ControllerBasis(orthonormal_basis(image[plan.c_rows], tol, scale=1.0), plan.k, plan.L)

@@ -218,9 +218,10 @@ def write_float_rows(f, values: np.ndarray) -> None:
     """One CSV line of repr floats per row of a 2-D array, as `csv.writer` writes them.
 
     A float's repr holds no comma, quote or line break, so no cell needs
-    quoting; `f` must be opened with ``newline=""``.
+    quoting; `f` must be opened with ``newline=""``.  An array with no
+    columns writes nothing, not one blank line per row.
     """
-    f.writelines(",".join(map(repr, row)) + "\r\n" for row in values.tolist())
+    f.writelines(",".join(map(repr, row)) + "\r\n" for row in values.tolist() if row)
 
 
 def write_csv(path, w: Trajectory) -> None:

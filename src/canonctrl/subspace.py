@@ -2,12 +2,16 @@
 
 Subspaces of R^d are carried around as orthonormal-column matrices
 (:class:`BehaviorBasis`); an orthogonal projector (:class:`Projector`) holds
-one and forms its d x d matrix only where projector algebra needs it.
-Everything is SVD-based; rank decisions go through a single
-:class:`RankTolerance` rule so the whole package cuts singular values the
-same way.  Wide matrices (data Hankel matrices have far more columns than
-rows) are reduced to a square factor by a QR factorization of their
-transpose before the SVD, which then never sees the long dimension.
+one and forms its d x d matrix only on request (in the package, only the
+paper's controller formula asks).  A section of a basis (:func:`section`)
+is the one primitive for "the vectors of a subspace that satisfy a
+constraint": the hidden behavior (:func:`zero_section`) and the
+intersection (:func:`intersect`) are both sections.  Everything is
+SVD-based; rank decisions go through a single :class:`RankTolerance` rule
+so the whole package cuts singular values the same way.  Wide matrices
+(data Hankel matrices have far more columns than rows) are reduced to a
+square factor by a QR factorization of their transpose before the SVD,
+which then never sees the long dimension.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class BehaviorBasis:
 class Projector:
     """Orthogonal projector onto the image of an orthonormal basis Q.
 
-    `matrix` forms Q Q^T on each access; matrices enter through `from_matrix`.
+    `matrix` forms Q Q^T on each access.
     """
 
     basis: BehaviorBasis
@@ -109,21 +113,6 @@ class Projector:
         defect = np.linalg.norm(Q.T @ Q - np.eye(Q.shape[1]))
         if defect > 1e-8 * (1.0 + np.linalg.norm(Q)):
             raise NumericalDegeneracyError(f"projector basis not orthonormal: defect {defect:.3e}")
-
-    @classmethod
-    def from_matrix(cls, P: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> Projector:
-        """The projector a symmetric idempotent matrix P is; its image cut at eigenvalue 1."""
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise DimensionError(f"projector must be square, got {P.shape}")
-        scale = 1.0 + np.linalg.norm(P)
-        for name, defect, bound in (
-            ("symmetric", np.linalg.norm(P - P.T), 1e-10),
-            ("idempotent", np.linalg.norm(P @ P - P), 1e-8),
-        ):
-            if defect > bound * scale:
-                raise NumericalDegeneracyError(f"projector not {name}: defect {defect:.3e}")
-        return cls(orthonormal_basis(P, tol, scale=1.0))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -188,6 +177,23 @@ def pinv(
     return (Vt[:r].T / s[:r]) @ U[:, :r].T
 
 
+def section(
+    keep: np.ndarray,
+    constraint: np.ndarray,
+    tol: RankTolerance = DEFAULT_RANK_TOL,
+) -> BehaviorBasis:
+    """The image of keep on the coefficient vectors that constraint annihilates.
+
+    keep and constraint share their r columns: the image of
+    keep (I - constraint^+ constraint), an r x r annihilator.  Both are
+    blocks of, or products with, an orthonormal basis, on the 0..1 scale, so
+    both cutoffs are anchored at 1: rounding-level rows (an identically zero
+    block) do not count as rank, and a trivial section comes out empty.
+    """
+    annihilator = np.eye(keep.shape[1]) - pinv(constraint, tol, scale=1.0) @ constraint
+    return orthonormal_basis(keep @ annihilator, tol, scale=1.0)
+
+
 def zero_section(
     U: np.ndarray,
     keep_rows: np.ndarray,
@@ -197,15 +203,9 @@ def zero_section(
     """The keep_rows of the vectors in Image U that vanish on zero_rows.
 
     U has orthonormal columns.  U a vanishes on zero_rows exactly when a is
-    in ker U_z, so the section is the image of U_k (I - U_z^+ U_z): an r x r
-    annihilator in U's coefficient space.  Blocks of an orthonormal U live
-    on the 0..1 scale, so both cutoffs are anchored at 1: rounding-level
-    rows (an identically zero block) do not count as rank, and the product
-    is numerically zero whenever the section is trivial.
+    in ker U_z, so this is the :func:`section` of U_k by U_z.
     """
-    Uz = U[zero_rows]
-    annihilator = np.eye(U.shape[1]) - pinv(Uz, tol, scale=1.0) @ Uz
-    return orthonormal_basis(U[keep_rows] @ annihilator, tol, scale=1.0)
+    return section(U[keep_rows], U[zero_rows], tol)
 
 
 def pinv_symmetric(S: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -229,35 +229,29 @@ def projector_onto(B: BehaviorBasis) -> Projector:
     return Projector(B)
 
 
-def zero_projector(ambient_dim: int) -> Projector:
-    return Projector(BehaviorBasis(ambient_dim, np.zeros((ambient_dim, 0))))
-
-
 def intersect(PV: Projector, PW: Projector, tol: RankTolerance = DEFAULT_RANK_TOL) -> Projector:
     """Orthogonal projector onto the intersection of two subspaces.
 
-    Uses the projector-algebra formula 2 P_V (P_V + P_W)^+ P_W, which is the
-    orthogonal projector on V ∩ W.  The result is re-symmetrized and then
-    checked: it must be a projector and its image must lie inside both
-    inputs.  A violation (possible when V and W nearly touch without
-    intersecting, where the formula is ill-conditioned) raises
-    NumericalDegeneracyError instead of silently rounding.  The returned
-    projector holds the image basis that check verified.
+    V ∩ W is the :func:`section` of Q_V by (I - Q_W Q_W^T) Q_V, all O(d r^2)
+    on the two bases; a pair at principal angle theta leaves sin(theta) in
+    that constraint.  The image is checked to lie inside both inputs.  The
+    check raises NumericalDegeneracyError, rather than rounding silently, when
+    angles whose sines the rank cutoff drops add up (Frobenius norm) to more
+    than the residual tolerance.
     """
     if PV.ambient_dim != PW.ambient_dim:
         raise DimensionError(
             f"ambient dims differ: {PV.ambient_dim} vs {PW.ambient_dim}"
         )
-    MV, MW = PV.matrix, PW.matrix
-    X = 2.0 * MV @ pinv_symmetric(MV + MW, tol) @ MW
-    P = Projector.from_matrix(0.5 * (X + X.T), tol)
-    Q = P.basis.basis
-    defect = max(float(np.linalg.norm(Q - M @ Q)) for M in (MV, MW))
+    QV, QW = PV.basis.basis, PW.basis.basis
+    inter = section(QV, QV - QW @ (QW.T @ QV), tol)
+    Q = inter.basis
+    defect = max(float(np.linalg.norm(Q - B @ (B.T @ Q))) for B in (QV, QW))
     if defect > DEFAULT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(Q))):
         raise NumericalDegeneracyError(
             f"intersection image not inside both inputs: defect {defect:.3e}"
         )
-    return P
+    return Projector(inter)
 
 
 def is_subspace_of(

@@ -400,38 +400,29 @@ class TestSynthesize:
             )
             assert report == syn.report and verified == syn.verified
 
-    def test_one_square_factorization_inside_intersect(self, monkeypatch):
+    def test_no_square_factorization(self, monkeypatch):
         case = harness.build_case(6000, "closed_loop")
         bundle = DataBundle(
             case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
         )
         d = (case.wc_partition.n_w + case.wc_partition.n_c) * case.L
-        square_calls, in_intersect = [], []
-        original_basis, original_intersect = subspace.orthonormal_basis, subspace.intersect
+        square_calls = []
+        original_basis = subspace.orthonormal_basis
 
         def counting_basis(M, *args, **kwargs):
             if np.shape(M) == (d, d):
-                square_calls.append(bool(in_intersect))
+                square_calls.append(np.shape(M))
             return original_basis(M, *args, **kwargs)
-
-        def marking_intersect(*args, **kwargs):
-            in_intersect.append(True)
-            try:
-                return original_intersect(*args, **kwargs)
-            finally:
-                in_intersect.pop()
 
         for name, mod in list(sys.modules.items()):
             if name.split(".")[0] != "canonctrl":
                 continue
             if getattr(mod, "orthonormal_basis", None) is original_basis:
                 monkeypatch.setattr(mod, "orthonormal_basis", counting_basis)
-            if getattr(mod, "intersect", None) is original_intersect:
-                monkeypatch.setattr(mod, "intersect", marking_intersect)
         assert synthesize(bundle).verified
-        # the closed-loop intersection's image; the plant and reference
-        # bases are the ones the projectors already hold
-        assert square_calls == [True]
+        # the closed-loop intersection is a section of the plant basis, and
+        # the plant and reference bases are the ones the projectors hold
+        assert square_calls == []
 
 
 class TestSampling:
@@ -497,11 +488,21 @@ class TestControllerExport:
     def test_empty_file_is_zero_dim_controller(self, tmp_path):
         ctrl = ControllerBasis(orthonormal_basis(np.zeros((4, 0))), 2, 2)
         path = tmp_path / "controller.csv"
-        write_controller_csv(path, ctrl)  # kL blank rows
-        for text in (path.read_text(), ""):
+        write_controller_csv(path, ctrl)
+        for text in ("\r\n" * 4, ""):  # blank rows are skipped
             path.write_text(text)
             back = read_controller_csv(path)
             assert (back.k, back.L, back.dim, back.basis.ambient_dim) == (2, 2, 0, 4)
+
+    def test_zero_dim_controller_writes_empty_file(self, tmp_path):
+        ctrl = ControllerBasis(orthonormal_basis(np.zeros((4, 0))), 2, 2)
+        path = tmp_path / "controller.csv"
+        write_controller_csv(path, ctrl)
+        assert path.stat().st_size == 0
+        with pytest.warns(UserWarning, match="no data"):
+            assert np.loadtxt(path, delimiter=",", ndmin=2).shape[0] == 0
+        back = read_controller_csv(path)
+        assert (back.k, back.L, back.dim, back.basis.ambient_dim) == (2, 2, 0, 4)
 
     def test_lift_shape(self):
         plan = PermutationPlan(2, 1, 2)

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from canonctrl import harness, implementability, lti_core
-from canonctrl.canonical import synthesize
+from canonctrl.canonical import (
+    controller_basis_intersection_route,
+    synthesize,
+    verify_closed_loop,
+)
 from canonctrl.errors import DimensionError, GenerationError, HorizonError, PartitionError
 from canonctrl.implementability import (
     DataBundle,
@@ -502,15 +506,31 @@ class TestLongDataReproducer:
         assert vd.implementable, vd.to_json()
         assert vd.implementable == vm.implementable
 
+    @pytest.fixture(scope="class")
+    def fourth_draw(self):
+        *_, bundle = long_data_draw(3, self.T, self.L)
+        return bundle, synthesize(bundle)
+
     @pytest.mark.xfail(
         strict=True,
         raises=AssertionError,
-        reason="projector intersection keeps a spurious direction: controller 122-dim, "
-        "controlled behavior 134-dim against a 133-dim reference; window-space "
-        "synthesis (ROADMAP Open item 4) is the fix",
+        reason="the formula P_r (P_r + P_p)^+ P_p keeps a spurious direction: a pair at "
+        "theta = 6.2e-5 adds theta^2 / 2 = 1.9e-9 to P_r + P_p, below the pinv_symmetric "
+        "cutoff of 8.4e-8, so the controller is 122-dim and the controlled behavior "
+        "134-dim against a 133-dim reference; window-space synthesis (ROADMAP Open "
+        "item 2) is the fix",
     )
-    def test_synthesis_verifies_fourth_draw(self):
-        *_, bundle = long_data_draw(3, self.T, self.L)
-        syn = synthesize(bundle)
+    def test_synthesis_verifies_fourth_draw(self, fourth_draw):
+        _, syn = fourth_draw
         report = syn.report
         assert syn.verified, (syn.controller.dim, report.dim_controlled, report.dim_reference)
+
+    def test_intersection_route_verifies_fourth_draw(self, fourth_draw):
+        # the intersection decides the theta = 6.2e-5 pair on sin(theta), not theta^2 / 2
+        bundle, syn = fourth_draw
+        ctrl = controller_basis_intersection_route(syn.P_r, syn.P_p, syn.plan)
+        R_basis = reference_basis(bundle.ref_traj, self.L)
+        verified, report = verify_closed_loop(syn.P_p.basis, ctrl, R_basis, syn.plan)
+        assert ctrl.dim == 121
+        assert verified, report
+        assert report.dim_controlled == report.dim_reference == 133

@@ -18,7 +18,6 @@ from canonctrl.subspace import (
     principal_angles,
     projector_onto,
     subspaces_equal,
-    zero_projector,
     zero_section,
 )
 
@@ -236,26 +235,11 @@ class TestProjector:
             assert np.abs(M - M.T).max() <= 1e-12
             assert np.abs(M @ M - M).max() <= 1e-12
 
-    def test_invariants_enforced(self):
-        with pytest.raises(NumericalDegeneracyError):
-            Projector.from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))  # not symmetric
-        with pytest.raises(NumericalDegeneracyError):
-            Projector.from_matrix(np.array([[0.5, 0.0], [0.0, 0.5]]))  # not idempotent
-        with pytest.raises(DimensionError):
-            Projector.from_matrix(np.zeros((2, 3)))
-
     def test_basis_must_be_orthonormal(self):
         with pytest.raises(NumericalDegeneracyError):
             Projector(BehaviorBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]])))
         with pytest.raises(NumericalDegeneracyError):
             Projector(BehaviorBasis(2, np.array([[0.5], [0.0]])))
-
-    def test_rank_of_near_zero_matrix_is_zero(self):
-        assert image_basis(Projector.from_matrix(1e-14 * np.eye(4))).dim == 0
-
-    def test_from_matrix_keeps_the_image(self, rng):
-        B = orthonormal_basis(rng.standard_normal((7, 3)))
-        assert subspaces_equal(Projector.from_matrix(B.basis @ B.basis.T).basis, B)[0]
 
 
 class TestIntersect:
@@ -299,19 +283,37 @@ class TestIntersect:
         assert is_subspace_of(inter, B)[0]
 
     def test_zero_subspace_input(self):
-        P = intersect(zero_projector(5), projector_onto(orthonormal_basis(np.eye(5))))
+        P = intersect(
+            projector_onto(BehaviorBasis(5, np.zeros((5, 0)))),
+            projector_onto(orthonormal_basis(np.eye(5))),
+        )
         assert np.allclose(P.matrix, np.zeros((5, 5)))
 
-    def test_nearly_touching_subspaces_raise(self):
+    def test_nearly_touching_lines_intersect_trivially(self):
+        # sin(theta) = 1e-6 is far above the rank cutoff; theta^2 / 2 is not
         theta = 1e-6
         v = np.array([1.0, 0.0])
         w = np.array([np.cos(theta), np.sin(theta)])
-        with pytest.raises(NumericalDegeneracyError):
-            intersect(projector_onto(span(v)), projector_onto(span(w)))
+        assert intersect(projector_onto(span(v)), projector_onto(span(w))).basis.dim == 0
+
+    def test_image_outside_an_input_raises(self, rng):
+        # 120 of V's 200 directions tilted out of it by 1.9e-8: each sine
+        # falls below the cutoff (2e-8), so the section keeps all of V, but
+        # together they leave it 2.1e-7 (Frobenius) outside W
+        Q = np.linalg.qr(rng.standard_normal((420, 320)))[0]
+        V = Q[:, :200]
+        theta = 1.9e-8
+        W = V.copy()
+        W[:, :120] = np.cos(theta) * V[:, :120] + np.sin(theta) * Q[:, 200:]
+        with pytest.raises(NumericalDegeneracyError, match="not inside both inputs"):
+            intersect(projector_onto(BehaviorBasis(420, V)), projector_onto(BehaviorBasis(420, W)))
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionError):
-            intersect(zero_projector(3), zero_projector(4))
+            intersect(
+                projector_onto(BehaviorBasis(3, np.zeros((3, 0)))),
+                projector_onto(BehaviorBasis(4, np.zeros((4, 0)))),
+            )
 
 
 class TestIsSubspaceOf:
