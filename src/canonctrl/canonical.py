@@ -6,8 +6,10 @@ reference (reference on w, anything on c).  All projector algebra happens in
 the canonical interleaved layout: the lifts place their blocks directly at
 the w and c positions that :class:`PermutationPlan` reads off
 :func:`canonctrl.signal.channel_rows`.  The paper's formula
-(:func:`controller_basis`) is the only d x d algebra; intersections are
-sections of bases (:func:`canonctrl.subspace.intersect`).
+(:func:`controller_basis`) is evaluated on the smaller Gram of the two
+projectors' stacked bases, d x d only when their dimensions add up to more
+than d, and intersections are sections of bases
+(:func:`canonctrl.subspace.intersect`).
 
 Plant trajectories entering this module must carry their channels in
 (w-block, c-block) order, as a :class:`~canonctrl.implementability.DataBundle`
@@ -161,17 +163,36 @@ def controller_basis(
 ) -> ControllerBasis:
     """Controller behavior synthesized from the two data projectors.
 
-    Evaluates X = P_r (P_r + P_p)^+ P_p, keeps the c rows, and
-    orthonormalizes.  The formula is evaluated unconditionally: whether the
-    result implements the reference is decided by `verify_closed_loop`.
+    The paper's formula: X = P_r (P_r + P_p)^+ P_p, its c rows,
+    orthonormalized.  It is evaluated on the bases Q_r, Q_p the projectors
+    hold, never on their d x d matrices.  With G = [Q_r | Q_p], P_r + P_p = G G^T
+    and (G G^T)^+ = G (G^T G)^{+2} G^T, so X = Q_r M Q_p^T with
+
+        M = (K^+ K)[:r_r, r_r:],  K = G^T G = [[I, C], [C^T, I]],  C = Q_r^T Q_p.
+
+    When r_r + r_p > d the d x d Gram is the smaller one, and
+    M = Q_r^T (G G^T)^+ Q_p.  Either Gram has the nonzero eigenvalues
+    1 +- cos(theta) of P_r + P_p (Anderson-Duffin), so both branches make the
+    formula's own rank decision, through `pinv_symmetric`, counting on the
+    Gram they factor.  Q_p^T has orthonormal rows, so Q_r[c] M has the image
+    and singular values of X[c].  The formula is evaluated unconditionally:
+    whether the result implements the reference is decided by
+    `verify_closed_loop`.
     """
     if P_r.ambient_dim != plan.ambient_dim or P_p.ambient_dim != plan.ambient_dim:
         raise DimensionError("projector ambient dims do not match the plan")
-    Mr, Mp = P_r.matrix, P_p.matrix
-    X = Mr @ pinv_symmetric(Mr + Mp, tol) @ Mp
-    # X is (half) a projector, so its entries live on the 0..1 scale
+    Q_r, Q_p = P_r.basis.basis, P_p.basis.basis
+    r, p = Q_r.shape[1], Q_p.shape[1]
+    if r + p <= plan.ambient_dim:
+        C = Q_r.T @ Q_p
+        K = np.block([[np.eye(r), C], [C.T, np.eye(p)]])
+        M = pinv_symmetric(K, tol)[:r] @ K[:, r:]
+    else:
+        G = np.hstack([Q_r, Q_p])
+        M = Q_r.T @ pinv_symmetric(G @ G.T, tol) @ Q_p
+    # X is (half) a projector, so Q_r[c] M, with its singular values, is on the 0..1 scale
     return ControllerBasis(
-        orthonormal_basis(X[plan.c_rows, :], tol, scale=1.0), plan.k, plan.L
+        orthonormal_basis(Q_r[plan.c_rows] @ M, tol, scale=1.0), plan.k, plan.L
     )
 
 

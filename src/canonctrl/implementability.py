@@ -144,6 +144,10 @@ def hidden_basis(
     U (the stored :func:`~canonctrl.signal.hankel_image`) goes to
     :func:`~canonctrl.lti_core.hidden_restricted_basis`, the section
     function the model oracle applies to its window map image.
+
+    `partition` names channels of `plant_traj` in its own order: a
+    :class:`DataBundle` rearranges its plant, so pass ``bundle.plant_traj``
+    with ``bundle.partition``, not with the partition the bundle was built from.
     """
     U = hankel_image(plant_traj, L, tol).basis
     return lti_core.hidden_restricted_basis(U, partition, L, tol)
@@ -165,7 +169,9 @@ def uncontrolled_basis(
     """Data representation of the uncontrolled plant behavior: image of H_L(w).
 
     Read off the joint Hankel image basis, as :func:`check_model` reads it
-    off the oracle's.
+    off the oracle's.  As in :func:`hidden_basis`, `partition` names channels
+    of `plant_traj` in its own order, so ``bundle.plant_traj`` goes with
+    ``bundle.partition``.
     """
     partition.require_control_split()
     U = hankel_image(plant_traj, L, tol).basis

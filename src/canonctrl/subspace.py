@@ -2,10 +2,10 @@
 
 Subspaces of R^d are carried around as orthonormal-column matrices
 (:class:`BehaviorBasis`); an orthogonal projector (:class:`Projector`) holds
-one and forms its d x d matrix only on request (in the package, only the
-paper's controller formula asks).  A section of a basis (:func:`section`)
-is the one primitive for "the vectors of a subspace that satisfy a
-constraint": the hidden behavior (:func:`zero_section`) and the
+one and forms its d x d matrix only on request (no step of the package
+asks; the paper's controller formula works on the bases too).  A section
+of a basis (:func:`section`) is the one primitive for "the vectors of a
+subspace that satisfy a constraint": the hidden behavior (:func:`zero_section`) and the
 intersection (:func:`intersect`) are both sections.  Everything is
 SVD-based; rank decisions go through a single :class:`RankTolerance` rule
 so the whole package cuts singular values the same way.  Wide matrices
@@ -102,7 +102,7 @@ class BehaviorBasis:
 class Projector:
     """Orthogonal projector onto the image of an orthonormal basis Q.
 
-    `matrix` forms Q Q^T on each access.
+    `matrix` forms Q Q^T on each access; the package's algebra reads `basis`.
     """
 
     basis: BehaviorBasis
@@ -215,13 +215,14 @@ def pinv_symmetric(S: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> np.n
     the result stays exactly symmetric, which a generic SVD pinv does not.
     """
     S = np.asarray(S, dtype=float)
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
+    w, V = np.linalg.eigh(0.5 * (S + S.T))  # the symmetrized copy dies with the call
     order = np.argsort(-np.abs(w))
     keep = order[: tol.count(np.abs(w[order]), S.shape)]
     w, V = w[keep], V[:, keep]  # one copy of the kept columns; the full V is freed
     X = (V / w) @ V.T
-    return 0.5 * (X + X.T)
+    X += X.T
+    X *= 0.5
+    return X
 
 
 def projector_onto(B: BehaviorBasis) -> Projector:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from canonctrl import signal
-from canonctrl.subspace import BehaviorBasis, orthonormal_basis
+from canonctrl.subspace import BehaviorBasis, orthonormal_basis, pinv_symmetric
 
 
 def null_space(M: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
@@ -31,6 +31,16 @@ def kernel_method_intersection(QA: np.ndarray, QB: np.ndarray) -> BehaviorBasis:
     stacked = np.hstack([QA, -QB])
     N = null_space(stacked)
     return orthonormal_basis(QA @ N[: QA.shape[1], :])
+
+
+def dense_controller_formula(P_r, P_p, plan) -> BehaviorBasis:
+    """The paper's controller formula as written: the c rows of P_r (P_r + P_p)^+ P_p.
+
+    Forms the d x d projector matrices; the reference `controller_basis` must match.
+    """
+    Mr, Mp = P_r.matrix, P_p.matrix
+    X = Mr @ pinv_symmetric(Mr + Mp) @ Mp
+    return orthonormal_basis(X[plan.c_rows], scale=1.0)
 
 
 @pytest.fixture

@@ -33,12 +33,15 @@ from canonctrl.lti_core import (
 )
 from canonctrl.signal import Trajectory, arrange_by_partition, channel_rows, hankel
 from canonctrl.subspace import (
+    Projector,
     intersect,
     image_basis,
     orthonormal_basis,
+    principal_angles,
     projector_onto,
     subspaces_equal,
 )
+from conftest import dense_controller_formula
 
 
 def line(*vals):
@@ -228,6 +231,23 @@ class TestControllerBasis:
             ok, angle = subspaces_equal(ctrl.basis, oracle, 1e-8)
             assert ok, f"seed {seed * 2 + 4000}: angle {angle}"
 
+    def test_matches_dense_formula_on_both_branches(self):
+        # seeds 2, 3, 5, 18, 20, 27 and 33 have r_r + r_p <= d and evaluate
+        # the formula on the coefficient Gram K; the others on the d x d Gram
+        branches = set()
+        for seed in range(40):
+            case = harness.build_case(seed, "closed_loop")
+            plan = PermutationPlan(case.wc_partition.n_w, case.wc_partition.n_c, case.L)
+            P_p = plant_projector(arrange_by_partition(case.plant_traj, case.wc_partition), case.L)
+            P_r = reference_lift_projector(case.ref_traj, plan.k, case.L, plan)
+            branches.add(P_r.basis.dim + P_p.basis.dim <= plan.ambient_dim)
+            ctrl = controller_basis(P_r, P_p, plan)
+            dense = dense_controller_formula(P_r, P_p, plan)
+            assert ctrl.dim == dense.dim, seed
+            if ctrl.dim:
+                assert principal_angles(ctrl.basis, dense)[0] < 1e-8, seed
+        assert branches == {True, False}
+
     def test_two_routes_agree(self, static_setup):
         data, ref = static_setup
         plan = PermutationPlan(1, 1, 2)
@@ -364,6 +384,22 @@ class TestSynthesize:
                 image_basis(P_p), orthonormal_basis(hankel(arranged, case.L))
             )[0]
             assert syn.verified, seed
+
+    @pytest.mark.parametrize("seed", [2, 4])  # r_r + r_p <= d, then > d
+    def test_no_projector_matrix_formed(self, seed, monkeypatch):
+        case = harness.build_case(seed, "closed_loop")
+        bundle = DataBundle(
+            case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
+        )
+        expected = synthesize(bundle).controller.dim
+
+        def no_matrix(self):
+            raise AssertionError("Projector.matrix formed")
+
+        monkeypatch.setattr(Projector, "matrix", property(no_matrix))
+        syn = synthesize(bundle)
+        assert syn.controller.dim == expected
+        assert syn.verified
 
     def test_one_hankel_matrix_per_trajectory(self, hankel_calls):
         case = harness.build_case(6000, "closed_loop")

@@ -91,6 +91,26 @@ class TestHiddenBasis:
         assert nonzero >= 30  # the cases exercise nontrivial hidden behaviors
 
 
+class TestBundlePartition:
+    """A bundle's plant goes with the bundle's partition, in the plant's own channel order."""
+
+    @pytest.fixture
+    def out_of_order(self):
+        case = harness.build_case(6018, "closed_loop")  # picks_w (2, 3), picks_c (1,)
+        bundle = DataBundle(case.plant_traj, case.ref_traj, case.L, case.wc_partition)
+        return case, bundle
+
+    @pytest.mark.parametrize("basis", [hidden_basis, uncontrolled_basis])
+    def test_bundle_pair_matches_raw_pair(self, out_of_order, basis):
+        case, bundle = out_of_order
+        raw = basis(case.plant_traj, case.wc_partition, case.L)
+        assert 0 < raw.dim < case.wc_partition.n_w * case.L
+        assert subspaces_equal(basis(bundle.plant_traj, bundle.partition, case.L), raw)[0]
+        # the arranged plant with the caller's partition reads other channels
+        mixed = basis(bundle.plant_traj, case.wc_partition, case.L)
+        assert not subspaces_equal(mixed, raw)[0]
+
+
 class TestReferenceBasis:
     def test_impulse_reference(self):
         # next r = 0: only the first window has a nonzero leading entry
@@ -521,6 +541,8 @@ class TestLongDataReproducer:
         "item 2) is the fix",
     )
     def test_synthesis_verifies_fourth_draw(self, fourth_draw):
+        # r_r + r_p = 313 + 192 > d = 420: the formula factors the d x d Gram,
+        # whose eigenvalues run up to 2, so its cutoff is 1e-10 * 2 * 420
         _, syn = fourth_draw
         report = syn.report
         assert syn.verified, (syn.controller.dim, report.dim_controlled, report.dim_reference)
