@@ -19,9 +19,8 @@ from .errors import GenerationError, MinimalityError
 from .implementability import DataBundle, InvariantBounds, check_data, check_model
 from .lti_core import (
     StateSpaceModel,
-    invariants_of,
+    horizon_lag,
     observable_realization,
-    projected_invariants,
     random_minimal_model,
     simulate,
 )
@@ -107,10 +106,9 @@ def gpe_trajectory(
     rank_tol: RankTolerance = DEFAULT_RANK_TOL,
 ) -> Trajectory:
     """Simulate until the trajectory passes the excitation rank test."""
-    inv = invariants_of(model)
     for _ in range(25):
         traj = _random_run(model, T, rng)
-        ok, _ = is_gpe(traj, L, inv.m_inputs, inv.n_order, rank_tol)
+        ok, _ = is_gpe(traj, L, model.m, model.n, rank_tol)
         if ok:
             return traj
     raise GenerationError(f"no exciting trajectory of length {T} after 25 tries")
@@ -166,18 +164,17 @@ def feedback_reference_model(
     cy = [out_pos[p] for p in wc_partition.picks_c if p in out_pos]
     if not cu:
         raise GenerationError("closed-loop construction needs an actuated control variable")
-    wu = [(j, in_pos[p]) for j, p in enumerate(wc_partition.picks_w) if p in in_pos]
-    wy = [(j, out_pos[p]) for j, p in enumerate(wc_partition.picks_w) if p in out_pos]
+    # w channels (1-based) that are plant inputs / outputs, and their plant rows
+    wu = [(j + 1, in_pos[p]) for j, p in enumerate(wc_partition.picks_w) if p in in_pos]
+    wy = [(j + 1, out_pos[p]) for j, p in enumerate(wc_partition.picks_w) if p in out_pos]
+    wy_rows = [i for _, i in wy]
+    partition = Partition(wc_partition.n_w, [j for j, _ in wu], [j for j, _ in wy])
 
-    n, m, p = plant.n, plant.m, plant.p
-    E_c = np.zeros((m, len(cu)))
-    E_c[cu, np.arange(len(cu))] = 1.0
-    m_v = len(wu)
-    E_w = np.zeros((m, m_v))
-    E_w[[i for _, i in wu], np.arange(m_v)] = 1.0
-    S_cy = np.zeros((len(cy), p))
-    S_cy[np.arange(len(cy)), cy] = 1.0
-
+    # the products below multiply by selection matrices rather than index
+    # rows: that keeps their summation order, so the drawn models stay the same
+    E_c = np.eye(plant.m)[:, cu]
+    E_w = np.eye(plant.m)[:, [i for _, i in wu]]
+    S_cy = np.eye(plant.p)[cy]
     for attempt in range(50):
         Az = _stable_matrix(n_ctrl, rng)
         Bz = rng.standard_normal((n_ctrl, len(cy)))
@@ -199,26 +196,10 @@ def feedback_reference_model(
         if A_cl.size and np.max(np.abs(np.linalg.eigvals(A_cl))) >= 0.95:
             continue
         B_cl = np.vstack([plant.B @ E_w, Bz @ S_cy @ plant.D @ E_w])
-
-        C_rows, D_rows, out_channels = [], [], []
-        for j, i in wy:
-            C_rows.append(np.concatenate([plant.C[i, :], DEcCz[i, :]]))
-            D_rows.append((plant.D @ E_w)[i, :])
-            out_channels.append(j + 1)
-        n_cl = n + n_ctrl
-        C_cl = np.array(C_rows).reshape(len(wy), n_cl)
-        D_cl = np.array(D_rows).reshape(len(wy), m_v)
-
-        Am, Bm, Cm, Dm = observable_realization(A_cl, B_cl, C_cl, D_cl)
-        in_channels = [j + 1 for j, _ in wu]
+        C_cl = np.hstack([plant.C[wy_rows], DEcCz[wy_rows]])
+        D_cl = (plant.D @ E_w)[wy_rows]
         try:
-            return StateSpaceModel(
-                Am,
-                Bm,
-                Cm,
-                Dm,
-                Partition(wc_partition.n_w, tuple(in_channels), tuple(out_channels)),
-            )
+            return StateSpaceModel(*observable_realization(A_cl, B_cl, C_cl, D_cl), partition)
         except MinimalityError:
             continue
     raise GenerationError("no minimal closed-loop reference after 50 draws")
@@ -240,13 +221,7 @@ def random_reference_model(q: int, n: int, rng: np.random.Generator) -> StateSpa
         D = rng.standard_normal((p, m))
         order = rng.permutation(q) + 1
         try:
-            return StateSpaceModel(
-                A,
-                B,
-                C,
-                D,
-                Partition(q, tuple(int(i) for i in order[:m]), tuple(int(i) for i in order[m:])),
-            )
+            return StateSpaceModel(A, B, C, D, Partition(q, order[:m], order[m:]))
         except MinimalityError:
             continue
     raise GenerationError("no minimal reference after 100 draws")
@@ -265,40 +240,24 @@ def random_sub_behavior_model(
     """
     if not 0 <= m_sub <= model.m:
         raise ValueError(f"m_sub must lie in [0, {model.m}]")
-    free = list(range(m_sub))
-    tied = list(range(m_sub, model.m))
-    E_s = np.zeros((model.m, m_sub))
-    E_s[free, np.arange(m_sub)] = 1.0
-    E_r = np.zeros((model.m, len(tied)))
-    E_r[tied, np.arange(len(tied))] = 1.0
+    E_s = np.eye(model.m)[:, :m_sub]
+    E_r = np.eye(model.m)[:, m_sub:]
+    # channels: free inputs stay inputs; tied inputs and the original
+    # outputs become outputs of the sub-behavior
+    partition = Partition(
+        model.q, model.input_picks[:m_sub], model.input_picks[m_sub:] + model.output_picks
+    )
     for attempt in range(50):
-        K = rng.standard_normal((len(tied), model.n)) * 0.6**attempt
-        G = rng.standard_normal((len(tied), m_sub))
+        K = rng.standard_normal((model.m - m_sub, model.n)) * 0.6**attempt
+        G = rng.standard_normal((model.m - m_sub, m_sub))
         A_s = model.A + model.B @ E_r @ K
         if A_s.size and np.max(np.abs(np.linalg.eigvals(A_s))) >= 0.95:
             continue
         B_s = model.B @ (E_s + E_r @ G)
-        # channels: free inputs stay inputs; tied inputs and the original
-        # outputs become outputs of the sub-behavior
-        C_rows, D_rows, out_channels = [], [], []
-        for i in tied:
-            C_rows.append(K[tied.index(i), :])
-            D_rows.append(G[tied.index(i), :])
-            out_channels.append(model.input_picks[i])
-        full_C = model.C + model.D @ E_r @ K
-        full_D = model.D @ (E_s + E_r @ G)
-        for i in range(model.p):
-            C_rows.append(full_C[i, :])
-            D_rows.append(full_D[i, :])
-            out_channels.append(model.output_picks[i])
-        C_s = np.array(C_rows).reshape(len(out_channels), model.n)
-        D_s = np.array(D_rows).reshape(len(out_channels), m_sub)
-        Am, Bm, Cm, Dm = observable_realization(A_s, B_s, C_s, D_s)
-        in_channels = tuple(model.input_picks[i] for i in free)
+        C_s = np.vstack([K, model.C + model.D @ E_r @ K])
+        D_s = np.vstack([G, model.D @ (E_s + E_r @ G)])
         try:
-            return StateSpaceModel(
-                Am, Bm, Cm, Dm, Partition(model.q, in_channels, tuple(out_channels))
-            )
+            return StateSpaceModel(*observable_realization(A_s, B_s, C_s, D_s), partition)
         except MinimalityError:
             continue
     raise GenerationError("no minimal sub-behavior after 50 draws")
@@ -361,11 +320,7 @@ def build_case(seed: int, kind: str, cfg: HarnessConfig = HarnessConfig()) -> Ca
     else:
         ref = random_reference_model(q_w, int(rng.integers(0, cfg.n_max + 1)), rng)
 
-    lag_bound = max(
-        invariants_of(plant).lag,
-        invariants_of(ref).lag,
-        projected_invariants(plant, partition.picks_w, cfg.rank_tol).lag,
-    )
+    lag_bound = horizon_lag(plant, partition.picks_w, ref, cfg.rank_tol)
     L = lag_bound + int(rng.integers(1, 3))
     T_plant = gpe_length(plant.m, plant.n, L, plant.q)
     T_ref = gpe_length(ref.m, ref.n, L, ref.q)

@@ -269,11 +269,7 @@ def check_model(
         raise DimensionError(
             f"reference has {ref.q} channels, expected {wc_partition.n_w}"
         )
-    lag_needed = max(
-        lti_core.invariants_of(plant).lag,
-        lti_core.invariants_of(ref).lag,
-        lti_core.projected_invariants(plant, wc_partition.picks_w, rank_tol).lag,
-    )
+    lag_needed = lti_core.horizon_lag(plant, wc_partition.picks_w, ref, rank_tol)
     if L <= lag_needed:
         raise HorizonError(f"L={L} must exceed the lag bound {lag_needed}")
     U = lti_core.restricted_behavior_basis(plant, L, rank_tol)

@@ -318,6 +318,21 @@ def projected_invariants(
     return IntegerInvariants(m_proj, len(picks) - m_proj, n_proj, lag)
 
 
+def horizon_lag(
+    plant: StateSpaceModel,
+    picks_w: tuple[int, ...],
+    ref: StateSpaceModel,
+    tol: RankTolerance = DEFAULT_RANK_TOL,
+) -> int:
+    """The lag a horizon L must exceed: the largest of the plant's, the
+    reference's and the projected (uncontrolled) plant's on `picks_w`."""
+    return max(
+        invariants_of(plant).lag,
+        invariants_of(ref).lag,
+        projected_invariants(plant, picks_w, tol).lag,
+    )
+
+
 def observable_realization(
     A: np.ndarray,
     B: np.ndarray,
@@ -415,19 +430,11 @@ def random_minimal_model(
         D = rng.standard_normal((p, m))
         io_order = rng.permutation(q_total) + 1
         role_order = rng.permutation(q_total) + 1
-        partition = Partition(
-            q_total, tuple(int(i) for i in role_order[:q_w]), tuple(int(i) for i in role_order[q_w:])
-        )
+        partition = Partition(q_total, role_order[:q_w], role_order[q_w:])
         if DEFAULT_RANK_TOL.rank(controllability_matrix(A, B)) != n:
             continue
         try:
-            model = StateSpaceModel(
-                A,
-                B,
-                C,
-                D,
-                Partition(q_total, tuple(int(i) for i in io_order[:m]), tuple(int(i) for i in io_order[m:])),
-            )
+            model = StateSpaceModel(A, B, C, D, Partition(q_total, io_order[:m], io_order[m:]))
         except MinimalityError:
             continue
         return model, partition

@@ -20,7 +20,7 @@ from canonctrl.implementability import (
     reference_basis,
     uncontrolled_basis,
 )
-from canonctrl.lti_core import free_model, invariants_of
+from canonctrl.lti_core import free_model, horizon_lag, invariants_of
 from canonctrl.signal import (
     Partition,
     Trajectory,
@@ -284,12 +284,26 @@ class TestCheckModel:
             rng = np.random.default_rng(seed)
             plant, partition = harness.random_plant(2, 2, 2, rng)
             ref = harness.feedback_reference_model(plant, partition, 1, rng)
-            lag = max(
-                invariants_of(plant).lag,
-                invariants_of(ref).lag,
-            )
-            verdict = check_model(plant, partition, ref, lag + 2)
+            lag = horizon_lag(plant, partition.picks_w, ref)
+            verdict = check_model(plant, partition, ref, lag + 1)
             assert verdict.implementable, f"seed {seed}"
+
+    @pytest.mark.parametrize("seed", [0, 1, 16, 22])
+    def test_horizon_must_exceed_horizon_lag(self, seed):
+        # on closed-loop cases 16 and 22 the projected plant's lag is the
+        # largest of the three
+        kind = "closed_loop" if seed % 2 == 0 else "adversarial"
+        case = harness.build_case(seed, kind)
+        picks_w = case.wc_partition.picks_w
+        lag = horizon_lag(case.plant, picks_w, case.ref_model)
+        assert lag == case.bounds.lag == max(
+            invariants_of(case.plant).lag,
+            invariants_of(case.ref_model).lag,
+            lti_core.projected_invariants(case.plant, picks_w).lag,
+        )
+        with pytest.raises(HorizonError):
+            check_model(case.plant, case.wc_partition, case.ref_model, lag)
+        check_model(case.plant, case.wc_partition, case.ref_model, lag + 1)
 
     def test_nearly_touching_plant_and_zero_c_subspace(self):
         # harness case 191: the plant's restricted behavior and {c = 0} meet
