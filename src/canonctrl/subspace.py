@@ -10,8 +10,10 @@ intersection (:func:`intersect`) are both sections.  Everything is
 SVD-based; rank decisions go through a single :class:`RankTolerance` rule
 so the whole package cuts singular values the same way.  Wide matrices
 (data Hankel matrices have far more columns than rows) are reduced to a
-square factor by a QR factorization of their transpose before the SVD,
-which then never sees the long dimension.
+square factor by a block-wise QR factorization of their transpose before
+the SVD, which then never sees the long dimension.  The QR holds one block
+of columns at a time, so its memory is bounded by rows x block, not by the
+column count; a matrix of at most one block takes a single QR.
 """
 
 from __future__ import annotations
@@ -66,12 +68,21 @@ def _thin_factor(M: np.ndarray) -> np.ndarray:
     """A matrix with M's left singular vectors and singular values.
 
     A wide M = R^T Q^T (QR of M^T) shares them with the rows x rows factor
-    R^T, so the SVD never touches the long dimension.  Below 1.5 columns
-    per row the extra QR costs more than it saves, and M passes through.
+    R^T, so the SVD never touches the long dimension.  The QR runs block by
+    block (sequential tall-skinny QR): R of the first b columns, then R of
+    R stacked on each next block, with b = max(4 rows, 1024).  No array is
+    larger than (rows + b) x rows, whatever the column count; with at most
+    b columns it is the one QR of M^T, bit for bit.  Below 1.5 columns per
+    row the extra QR costs more than it saves, and M passes through.
     """
-    if 2 * M.shape[1] > 3 * M.shape[0]:
-        return np.linalg.qr(M.T, mode="r").T
-    return M
+    rows, cols = M.shape
+    if 2 * cols <= 3 * rows:
+        return M
+    b = max(4 * rows, 1024)
+    R = np.linalg.qr(M[:, :b].T, mode="r")
+    for j in range(b, cols, b):
+        R = np.linalg.qr(np.vstack([R, M[:, j : j + b].T]), mode="r")
+    return R.T
 
 
 @dataclass(frozen=True, eq=False)

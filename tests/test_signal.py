@@ -1,5 +1,6 @@
 import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from canonctrl.signal import (
     channel_rows,
     cut,
     hankel,
+    hankel_image,
     is_gpe,
     read_csv,
     read_float_rows,
@@ -147,6 +149,26 @@ class TestHankel:
                 assert np.array_equal(
                     H[i * q : (i + 1) * q, j], H[(i - 1) * q : i * q, j + 1]
                 )
+
+
+class TestHankelImage:
+    def test_peak_memory_does_not_grow_with_T(self, rng):
+        # q = 4, L = 30: a 120-row Hankel matrix, reduced 1024 columns at a
+        # time.  One copy of its transpose would take 3.8 MB at T = 4000 and
+        # 15.4 MB at T = 16000.
+        q, L = 4, 30
+        peaks = {}
+        for T in (4000, 16000):
+            w = Trajectory(rng.standard_normal((T, q)))
+            tracemalloc.start()
+            try:
+                hankel_image(w, L)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        extra_samples = (16000 - 4000) * q * 8
+        assert abs(peaks[16000] - peaks[4000]) < extra_samples, peaks
+        assert max(peaks.values()) < 3e6, peaks
 
 
 class TestGpe:

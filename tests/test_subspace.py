@@ -4,12 +4,15 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canonctrl import harness
 from canonctrl.errors import DimensionError, NumericalDegeneracyError
+from canonctrl.signal import hankel
 from canonctrl.subspace import (
     BehaviorBasis,
     Projector,
     RankTolerance,
     image_basis,
+    image_svd,
     intersect,
     is_subspace_of,
     orthonormal_basis,
@@ -133,6 +136,73 @@ class TestWideMatrices:
         row = rng.standard_normal((1, 40))
         assert RankTolerance().rank(row) == 1
         assert np.allclose(np.abs(orthonormal_basis(row).basis), 1.0)
+
+
+def block_width(rows):
+    """Columns per block of the wide-matrix QR (see `subspace._thin_factor`)."""
+    return max(4 * rows, 1024)
+
+
+def one_qr_svd(M):
+    """Left singular vectors and singular values of M from one QR of M^T."""
+    U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T, full_matrices=False)
+    return U, s
+
+
+class TestBlockwiseFactor:
+    """Past one block of columns the QR of M^T runs block by block.
+
+    It factors the same matrix as one QR: same rank, singular values to
+    rounding of sigma_max, and kept subspaces within rows times the
+    perturbation bound eps sigma_max / (sigma_r - sigma_{r+1}).  Up to one
+    block it is that QR.
+    """
+
+    def assert_matches_one_qr(self, M):
+        tol = RankTolerance()
+        B, s = image_svd(M, tol)
+        U1, s1 = one_qr_svd(M)
+        r = tol.count(s1, M.shape)
+        assert tol.count(s, M.shape) == B.dim == tol.rank(M) == r
+        assert np.abs(s - s1).max() <= 1e-14 * s1[0]
+        gap = s1[r - 1] - (s1[r] if r < s1.size else 0.0)
+        bound = M.shape[0] * np.finfo(float).eps * s1[0] / gap
+        angles = principal_angles(B, BehaviorBasis(M.shape[0], U1[:, :r]))
+        assert np.sin(angles).max() <= bound, (np.sin(angles).max(), bound)
+        return r
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (12, block_width(12) + 1),
+            (12, 3 * block_width(12)),
+            (20, 5 * block_width(20) + 307),
+            (300, 2 * block_width(300) + 480),
+        ],
+        ids=["one-column-over", "exact-multiple", "remainder", "tall-blocks"],
+    )
+    def test_matches_one_qr(self, rng, rows, cols):
+        spectrum = list(np.geomspace(1e3, 1e-2, (2 * rows) // 3))
+        for zero_rows in ((), (0, rows - 1)):
+            M = wide_matrix(rng, rows, cols, spectrum, zero_rows)
+            assert self.assert_matches_one_qr(M) == len(spectrum)
+
+    def test_rank_deficient_long_hankel(self):
+        # (q_w, q_c, n) = (4, 3, 12) data at T = 8000, L = 60: a 420 x 7941
+        # Hankel matrix of rank m L + n < 420, factored in five blocks
+        rng = np.random.default_rng(0)
+        plant, _ = harness.random_plant(4, 3, 12, rng)
+        H = hankel(harness.plant_data(plant, 8000, seed=1), 60)
+        assert H.shape[1] > 4 * block_width(H.shape[0])
+        assert self.assert_matches_one_qr(H) == plant.m * 60 + plant.n < H.shape[0]
+
+    @pytest.mark.parametrize("rows, cols", [(12, 19), (12, 1024), (300, 1200), (100, 700)])
+    def test_single_block_is_the_one_qr(self, rng, rows, cols):
+        M = rng.standard_normal((rows, cols)) * np.geomspace(1.0, 1e-8, rows)[:, None]
+        B, s = image_svd(M)
+        U1, s1 = one_qr_svd(M)
+        assert np.array_equal(s, s1)
+        assert np.array_equal(B.basis, U1[:, : B.dim])
 
 
 class TestPinv:
