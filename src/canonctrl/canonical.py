@@ -34,10 +34,8 @@ from .implementability import DataBundle, reference_basis
 from .signal import Trajectory, channel_rows, hankel_image, read_float_rows, write_float_rows
 from .subspace import (
     DEFAULT_ANGLE_TOL,
-    DEFAULT_RANK_TOL,
     BehaviorBasis,
     Projector,
-    RankTolerance,
     intersect,
     orthonormal_basis,
     pinv_symmetric,
@@ -126,23 +124,17 @@ class ClosedLoopReport:
         }
 
 
-def plant_projector(
-    plant_traj: Trajectory, L: int, tol: RankTolerance = DEFAULT_RANK_TOL
-) -> Projector:
+def plant_projector(plant_traj: Trajectory, L: int) -> Projector:
     """Orthogonal projector onto the plant's restricted behavior from data.
 
     `plant_traj` must hold the full (w, c) variables with w channels first;
     the Hankel image then sits in canonical interleaved layout directly.
     """
-    return projector_onto(hankel_image(plant_traj, L, tol).basis)
+    return projector_onto(hankel_image(plant_traj, L).basis)
 
 
 def reference_lift_projector(
-    ref_traj: Trajectory,
-    k: int,
-    L: int,
-    plan: PermutationPlan,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
+    ref_traj: Trajectory, k: int, L: int, plan: PermutationPlan
 ) -> Projector:
     """Projector onto (reference windows) x (anything on c), canonical layout.
 
@@ -151,16 +143,11 @@ def reference_lift_projector(
     """
     if plan.q != ref_traj.q or plan.k != k or plan.L != L:
         raise DimensionError("plan does not match (q, k, L) of the inputs")
-    QR = reference_basis(ref_traj, L, tol).basis
+    QR = reference_basis(ref_traj, L).basis
     return projector_onto(_lift(plan, QR, np.eye(k * L)))
 
 
-def controller_basis(
-    P_r: Projector,
-    P_p: Projector,
-    plan: PermutationPlan,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> ControllerBasis:
+def controller_basis(P_r: Projector, P_p: Projector, plan: PermutationPlan) -> ControllerBasis:
     """Controller behavior synthesized from the two data projectors.
 
     The paper's formula: X = P_r (P_r + P_p)^+ P_p, its c rows,
@@ -186,21 +173,16 @@ def controller_basis(
     if r + p <= plan.ambient_dim:
         C = Q_r.T @ Q_p
         K = np.block([[np.eye(r), C], [C.T, np.eye(p)]])
-        M = pinv_symmetric(K, tol)[:r] @ K[:, r:]
+        M = pinv_symmetric(K)[:r] @ K[:, r:]
     else:
         G = np.hstack([Q_r, Q_p])
-        M = Q_r.T @ pinv_symmetric(G @ G.T, tol) @ Q_p
+        M = Q_r.T @ pinv_symmetric(G @ G.T) @ Q_p
     # X is (half) a projector, so Q_r[c] M, with its singular values, is on the 0..1 scale
-    return ControllerBasis(
-        orthonormal_basis(Q_r[plan.c_rows] @ M, tol, scale=1.0), plan.k, plan.L
-    )
+    return ControllerBasis(orthonormal_basis(Q_r[plan.c_rows] @ M, scale=1.0), plan.k, plan.L)
 
 
 def controller_basis_intersection_route(
-    P_r: Projector,
-    P_p: Projector,
-    plan: PermutationPlan,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
+    P_r: Projector, P_p: Projector, plan: PermutationPlan
 ) -> ControllerBasis:
     """Same controller subspace through the subspace intersection.
 
@@ -209,8 +191,8 @@ def controller_basis_intersection_route(
     cross-check.  It decides a nearly touching pair on sin(theta), where the
     formula sees theta^2 / 2, so it can drop a direction the formula keeps.
     """
-    image = intersect(P_r, P_p, tol).basis.basis
-    return ControllerBasis(orthonormal_basis(image[plan.c_rows], tol, scale=1.0), plan.k, plan.L)
+    image = intersect(P_r, P_p).basis.basis
+    return ControllerBasis(orthonormal_basis(image[plan.c_rows], scale=1.0), plan.k, plan.L)
 
 
 def _lift(plan: PermutationPlan, Qw: np.ndarray, Qc: np.ndarray) -> BehaviorBasis:
@@ -235,7 +217,7 @@ def verify_closed_loop(
     C: ControllerBasis,
     R_basis: BehaviorBasis,
     plan: PermutationPlan,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
+    *,
     angle_tol: float = DEFAULT_ANGLE_TOL,
 ) -> tuple[bool, ClosedLoopReport]:
     """Does interconnecting the plant with C reproduce the reference on w?
@@ -248,8 +230,8 @@ def verify_closed_loop(
         raise DimensionError("plant basis ambient does not match the plan")
     if R_basis.ambient_dim != plan.q * plan.L:
         raise DimensionError("reference basis ambient does not match the plan")
-    P_loop = intersect(projector_onto(P_basis), projector_onto(lift_controller(C, plan)), tol)
-    controlled = orthonormal_basis(P_loop.basis.basis[plan.w_rows], tol, scale=1.0)
+    P_loop = intersect(projector_onto(P_basis), projector_onto(lift_controller(C, plan)))
+    controlled = orthonormal_basis(P_loop.basis.basis[plan.w_rows], scale=1.0)
     verified, max_angle = subspaces_equal(controlled, R_basis, angle_tol)
     angles = tuple(float(a) for a in principal_angles(controlled, R_basis))
     report = ClosedLoopReport(
@@ -274,11 +256,7 @@ class Synthesis:
     report: ClosedLoopReport
 
 
-def synthesize(
-    bundle: DataBundle,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
-) -> Synthesis:
+def synthesize(bundle: DataBundle, *, angle_tol: float = DEFAULT_ANGLE_TOL) -> Synthesis:
     """Canonical controller from measured data, verified in closed loop.
 
     Builds the plant and reference-lift projectors, synthesizes the
@@ -289,11 +267,11 @@ def synthesize(
     """
     L = bundle.L
     plan = PermutationPlan(bundle.partition.n_w, bundle.partition.n_c, L)
-    P_p = plant_projector(bundle.plant_traj, L, tol)
-    P_r = reference_lift_projector(bundle.ref_traj, plan.k, L, plan, tol)
-    ctrl = controller_basis(P_r, P_p, plan, tol)
-    R_basis = reference_basis(bundle.ref_traj, L, tol)
-    verified, report = verify_closed_loop(P_p.basis, ctrl, R_basis, plan, tol, angle_tol)
+    P_p = plant_projector(bundle.plant_traj, L)
+    P_r = reference_lift_projector(bundle.ref_traj, plan.k, L, plan)
+    ctrl = controller_basis(P_r, P_p, plan)
+    R_basis = reference_basis(bundle.ref_traj, L)
+    verified, report = verify_closed_loop(P_p.basis, ctrl, R_basis, plan, angle_tol=angle_tol)
     return Synthesis(plan, P_p, P_r, ctrl, verified, report)
 
 

@@ -20,7 +20,6 @@ from . import canonical, harness, lti_core, signal
 from .errors import NumericalDegeneracyError
 from .implementability import DataBundle, InvariantBounds, check_data
 from .signal import Partition
-from .subspace import RankTolerance
 
 
 def _parse_picks(value) -> tuple[int, ...]:
@@ -99,7 +98,7 @@ def _bundle_from_args(args) -> tuple[DataBundle, float]:
 
 def cmd_check(args) -> int:
     bundle, residual_tol = _bundle_from_args(args)
-    verdict = check_data(bundle, RankTolerance(), residual_tol)
+    verdict = check_data(bundle, residual_tol=residual_tol)
     print(verdict.to_json())
     return 0 if verdict.implementable else 1
 
@@ -107,9 +106,8 @@ def cmd_check(args) -> int:
 def cmd_synth(args) -> int:
     bundle, residual_tol = _bundle_from_args(args)
     out = Path(_opt(args, "out", required=True))
-    rank_tol = RankTolerance()
-    verdict = check_data(bundle, rank_tol, residual_tol)
-    syn = canonical.synthesize(bundle, rank_tol, angle_tol=residual_tol)
+    verdict = check_data(bundle, residual_tol=residual_tol)
+    syn = canonical.synthesize(bundle, angle_tol=residual_tol)
     ctrl = syn.controller
     canonical.write_controller_csv(out, ctrl)
     _print_json(
@@ -127,11 +125,12 @@ def cmd_proptest(args) -> int:
     if seeds < 1:
         raise ValueError(f"need at least one seed, got {seeds}")
     base_seed = int(_opt(args, "seed", default=0))
+    if base_seed < 0:
+        raise ValueError(f"base seed must be >= 0, got {base_seed}")
     cfg = harness.HarnessConfig(
         q_w_max=int(_opt(args, "q_w_max", default=2)),
         q_c_max=int(_opt(args, "q_c_max", default=2)),
         n_max=int(_opt(args, "n_max", default=3)),
-        rank_tol=RankTolerance(float(_opt(args, "tol", default=1e-10))),
     )
     report = harness.run_batch(seeds, base_seed, cfg)
     report["base_seed"] = base_seed
@@ -189,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop.add_argument("--q-w-max", dest="q_w_max", type=int, help="max to-be-controlled channels")
     p_prop.add_argument("--q-c-max", dest="q_c_max", type=int, help="max control channels")
     p_prop.add_argument("--n-max", dest="n_max", type=int, help="max plant order")
-    p_prop.add_argument("--tol", type=float, help="rank tolerance override (default 1e-10)")
     add_common(p_prop)
     p_prop.set_defaults(func=cmd_proptest)
     return parser

@@ -25,12 +25,7 @@ from .lti_core import (
     simulate,
 )
 from .signal import Partition, Trajectory, is_gpe
-from .subspace import (
-    DEFAULT_RANK_TOL,
-    DEFAULT_RESIDUAL_TOL,
-    RankTolerance,
-    subspaces_equal,
-)
+from .subspace import DEFAULT_RESIDUAL_TOL, subspaces_equal
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +93,11 @@ def gpe_length(m: int, n: int, L: int, q: int) -> int:
     return max((m + 1) * (L + n) + n, q * L + L + n) + 8
 
 
-def gpe_trajectory(
-    model: StateSpaceModel,
-    L: int,
-    T: int,
-    rng: np.random.Generator,
-    rank_tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> Trajectory:
+def gpe_trajectory(model: StateSpaceModel, L: int, T: int, rng: np.random.Generator) -> Trajectory:
     """Simulate until the trajectory passes the excitation rank test."""
     for _ in range(25):
         traj = _random_run(model, T, rng)
-        ok, _ = is_gpe(traj, L, model.m, model.n, rank_tol)
+        ok, _ = is_gpe(traj, L, model.m, model.n)
         if ok:
             return traj
     raise GenerationError(f"no exciting trajectory of length {T} after 25 tries")
@@ -269,10 +258,16 @@ def random_sub_behavior_model(
 
 @dataclass(frozen=True)
 class HarnessConfig:
+    """Upper bounds of a random case: channels of each role and plant order."""
+
     q_w_max: int = 2
     q_c_max: int = 2
     n_max: int = 3
-    rank_tol: RankTolerance = DEFAULT_RANK_TOL
+
+    def __post_init__(self):
+        for name, low in (("q_w_max", 1), ("q_c_max", 1), ("n_max", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,24 +315,25 @@ def build_case(seed: int, kind: str, cfg: HarnessConfig = HarnessConfig()) -> Ca
     else:
         ref = random_reference_model(q_w, int(rng.integers(0, cfg.n_max + 1)), rng)
 
-    lag_bound = horizon_lag(plant, partition.picks_w, ref, cfg.rank_tol)
+    lag_bound = horizon_lag(plant, partition.picks_w, ref)
     L = lag_bound + int(rng.integers(1, 3))
     T_plant = gpe_length(plant.m, plant.n, L, plant.q)
     T_ref = gpe_length(ref.m, ref.n, L, ref.q)
-    plant_traj = gpe_trajectory(plant, L, T_plant, rng, cfg.rank_tol)
-    ref_traj = gpe_trajectory(ref, L, T_ref, rng, cfg.rank_tol)
+    plant_traj = gpe_trajectory(plant, L, T_plant, rng)
+    ref_traj = gpe_trajectory(ref, L, T_ref, rng)
     bounds = InvariantBounds(
         m_plant=plant.m, n_plant=plant.n, m_ref=ref.m, n_ref=ref.n, lag=lag_bound
     )
     return Case(seed, kind, plant, partition, ref, L, plant_traj, ref_traj, bounds)
 
 
+# cfg is unused; perfbench/workloads.py calls evaluate_case(case, CFG)
 def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResult:
     """Run every cross-check on one case; failures are named for replay."""
     failures: list[str] = []
     bundle = DataBundle(case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds)
-    vd = check_data(bundle, cfg.rank_tol)
-    vm = check_model(case.plant, case.wc_partition, case.ref_model, case.L, cfg.rank_tol)
+    vd = check_data(bundle)
+    vm = check_model(case.plant, case.wc_partition, case.ref_model, case.L)
     if not (vd.gpe_plant and vd.gpe_ref):
         failures.append("gpe_flags")
     if vd.implementable != vm.implementable:
@@ -348,16 +344,14 @@ def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResul
         if max(vd.residual_hidden_in_ref, vd.residual_ref_in_plant) > DEFAULT_RESIDUAL_TOL:
             failures.append("certificate_residuals")
     if vm.implementable and vd.implementable:
-        failures.extend(_synthesis_checks(bundle, cfg))
+        failures.extend(_synthesis_checks(bundle))
     return CaseResult(case.seed, case.kind, vd.implementable, vm.implementable, failures)
 
 
-def _synthesis_checks(bundle: DataBundle, cfg: HarnessConfig) -> list[str]:
+def _synthesis_checks(bundle: DataBundle) -> list[str]:
     failures: list[str] = []
-    syn = synthesize(bundle, cfg.rank_tol)
-    ctrl_via_intersection = controller_basis_intersection_route(
-        syn.P_r, syn.P_p, syn.plan, cfg.rank_tol
-    )
+    syn = synthesize(bundle)
+    ctrl_via_intersection = controller_basis_intersection_route(syn.P_r, syn.P_p, syn.plan)
     routes_agree, _ = subspaces_equal(syn.controller.basis, ctrl_via_intersection.basis)
     if not routes_agree:
         failures.append("synthesis_routes_agree")

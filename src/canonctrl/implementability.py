@@ -27,14 +27,7 @@ import numpy as np
 from . import lti_core
 from .errors import DimensionError, HorizonError
 from .signal import Partition, Trajectory, arrange_by_partition, channel_rows, hankel_image, is_gpe
-from .subspace import (
-    DEFAULT_RANK_TOL,
-    DEFAULT_RESIDUAL_TOL,
-    BehaviorBasis,
-    RankTolerance,
-    is_subspace_of,
-    orthonormal_basis,
-)
+from .subspace import DEFAULT_RESIDUAL_TOL, BehaviorBasis, is_subspace_of, orthonormal_basis
 
 
 @dataclass(frozen=True)
@@ -127,12 +120,7 @@ class ImplementabilityVerdict:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def hidden_basis(
-    plant_traj: Trajectory,
-    partition: Partition,
-    L: int,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> BehaviorBasis:
+def hidden_basis(plant_traj: Trajectory, partition: Partition, L: int) -> BehaviorBasis:
     """Data representation of the hidden behavior over horizon L.
 
     The hidden behavior is the image of H_L(w) (I - H_L(c)^+ H_L(c)): the
@@ -149,23 +137,16 @@ def hidden_basis(
     :class:`DataBundle` rearranges its plant, so pass ``bundle.plant_traj``
     with ``bundle.partition``, not with the partition the bundle was built from.
     """
-    U = hankel_image(plant_traj, L, tol).basis
-    return lti_core.hidden_restricted_basis(U, partition, L, tol)
+    U = hankel_image(plant_traj, L).basis
+    return lti_core.hidden_restricted_basis(U, partition, L)
 
 
-def reference_basis(
-    ref_traj: Trajectory, L: int, tol: RankTolerance = DEFAULT_RANK_TOL
-) -> BehaviorBasis:
+def reference_basis(ref_traj: Trajectory, L: int) -> BehaviorBasis:
     """Data representation of the restricted reference behavior: image of H_L(r)."""
-    return hankel_image(ref_traj, L, tol).basis
+    return hankel_image(ref_traj, L).basis
 
 
-def uncontrolled_basis(
-    plant_traj: Trajectory,
-    partition: Partition,
-    L: int,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> BehaviorBasis:
+def uncontrolled_basis(plant_traj: Trajectory, partition: Partition, L: int) -> BehaviorBasis:
     """Data representation of the uncontrolled plant behavior: image of H_L(w).
 
     Read off the joint Hankel image basis, as :func:`check_model` reads it
@@ -174,19 +155,17 @@ def uncontrolled_basis(
     ``bundle.partition``.
     """
     partition.require_control_split()
-    U = hankel_image(plant_traj, L, tol).basis
-    return _w_rows_image(U, partition.picks_w, plant_traj.q, L, tol)
+    U = hankel_image(plant_traj, L).basis
+    return _w_rows_image(U, partition.picks_w, plant_traj.q, L)
 
 
-def _w_rows_image(
-    U: BehaviorBasis, picks_w: tuple[int, ...], q: int, L: int, tol: RankTolerance
-) -> BehaviorBasis:
+def _w_rows_image(U: BehaviorBasis, picks_w: tuple[int, ...], q: int, L: int) -> BehaviorBasis:
     """Span of the picks_w rows of U, an orthonormal basis of q-channel windows.
 
     Rows of an orthonormal U live on the 0..1 scale, so the cutoff is
     anchored at 1, as in :func:`~canonctrl.subspace.zero_section`.
     """
-    return orthonormal_basis(U.basis[channel_rows(picks_w, q, L)], tol, scale=1.0)
+    return orthonormal_basis(U.basis[channel_rows(picks_w, q, L)], scale=1.0)
 
 
 def _verdict_from_bases(
@@ -217,9 +196,7 @@ def _verdict_from_bases(
 
 
 def check_data(
-    bundle: DataBundle,
-    rank_tol: RankTolerance = DEFAULT_RANK_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
+    bundle: DataBundle, *, residual_tol: float = DEFAULT_RESIDUAL_TOL
 ) -> ImplementabilityVerdict:
     """Decide implementability of the reference directly from trajectories.
 
@@ -234,13 +211,11 @@ def check_data(
     bounds = bundle.bounds
     if bundle.L <= bounds.lag:
         raise HorizonError(f"L={bundle.L} must exceed the lag bound {bounds.lag}")
-    N = hidden_basis(bundle.plant_traj, bundle.partition, bundle.L, rank_tol)
-    R = reference_basis(bundle.ref_traj, bundle.L, rank_tol)
-    Pw = uncontrolled_basis(bundle.plant_traj, bundle.partition, bundle.L, rank_tol)
-    gpe_plant, _ = is_gpe(
-        bundle.plant_traj, bundle.L, bounds.m_plant, bounds.n_plant, rank_tol
-    )
-    gpe_ref, _ = is_gpe(bundle.ref_traj, bundle.L, bounds.m_ref, bounds.n_ref, rank_tol)
+    N = hidden_basis(bundle.plant_traj, bundle.partition, bundle.L)
+    R = reference_basis(bundle.ref_traj, bundle.L)
+    Pw = uncontrolled_basis(bundle.plant_traj, bundle.partition, bundle.L)
+    gpe_plant, _ = is_gpe(bundle.plant_traj, bundle.L, bounds.m_plant, bounds.n_plant)
+    gpe_ref, _ = is_gpe(bundle.ref_traj, bundle.L, bounds.m_ref, bounds.n_ref)
     return _verdict_from_bases(N, R, Pw, gpe_plant, gpe_ref, residual_tol)
 
 
@@ -249,7 +224,7 @@ def check_model(
     wc_partition: Partition,
     ref: lti_core.StateSpaceModel,
     L: int,
-    rank_tol: RankTolerance = DEFAULT_RANK_TOL,
+    *,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> ImplementabilityVerdict:
     """Decide implementability from state-space oracles of plant and reference.
@@ -269,11 +244,11 @@ def check_model(
         raise DimensionError(
             f"reference has {ref.q} channels, expected {wc_partition.n_w}"
         )
-    lag_needed = lti_core.horizon_lag(plant, wc_partition.picks_w, ref, rank_tol)
+    lag_needed = lti_core.horizon_lag(plant, wc_partition.picks_w, ref)
     if L <= lag_needed:
         raise HorizonError(f"L={L} must exceed the lag bound {lag_needed}")
-    U = lti_core.restricted_behavior_basis(plant, L, rank_tol)
-    N = lti_core.hidden_restricted_basis(U, wc_partition, L, rank_tol)
-    R = lti_core.restricted_behavior_basis(ref, L, rank_tol)
-    Pw = _w_rows_image(U, wc_partition.picks_w, plant.q, L, rank_tol)
+    U = lti_core.restricted_behavior_basis(plant, L)
+    N = lti_core.hidden_restricted_basis(U, wc_partition, L)
+    R = lti_core.restricted_behavior_basis(ref, L)
+    Pw = _w_rows_image(U, wc_partition.picks_w, plant.q, L)
     return _verdict_from_bases(N, R, Pw, True, True, residual_tol)

@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, GenerationError, MinimalityError
 from .signal import Partition, Trajectory, channel_rows
-from .subspace import (
-    DEFAULT_RANK_TOL,
-    BehaviorBasis,
-    RankTolerance,
-    orthonormal_basis,
-    zero_section,
-)
+from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, zero_section
 
 
 @dataclass(frozen=True)
@@ -232,18 +226,13 @@ def behavior_window_map(model: StateSpaceModel, L: int) -> np.ndarray:
     return M
 
 
-def restricted_behavior_basis(
-    model: StateSpaceModel, L: int, tol: RankTolerance = DEFAULT_RANK_TOL
-) -> BehaviorBasis:
+def restricted_behavior_basis(model: StateSpaceModel, L: int) -> BehaviorBasis:
     """Orthonormal basis of the restricted behavior over horizon L (ambient qL)."""
-    return orthonormal_basis(behavior_window_map(model, L), tol)
+    return orthonormal_basis(behavior_window_map(model, L))
 
 
 def projected_restricted_basis(
-    model: StateSpaceModel,
-    picks: tuple[int, ...],
-    L: int,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
+    model: StateSpaceModel, picks: tuple[int, ...], L: int
 ) -> BehaviorBasis:
     """Restricted behavior of the projection onto the given channels.
 
@@ -252,15 +241,10 @@ def projected_restricted_basis(
     """
     M = behavior_window_map(model, L)
     rows = channel_rows(picks, model.q, L)
-    return orthonormal_basis(M[rows, :], tol)
+    return orthonormal_basis(M[rows, :])
 
 
-def hidden_restricted_basis(
-    U: BehaviorBasis,
-    wc_partition: Partition,
-    L: int,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> BehaviorBasis:
+def hidden_restricted_basis(U: BehaviorBasis, wc_partition: Partition, L: int) -> BehaviorBasis:
     """Windows of the plant's w-variables compatible with the c-variables pinned to zero.
 
     U is an orthonormal basis of the plant's joint restricted behavior over
@@ -277,15 +261,10 @@ def hidden_restricted_basis(
         U.basis,
         channel_rows(wc_partition.picks_w, wc_partition.total, L),
         channel_rows(wc_partition.picks_c, wc_partition.total, L),
-        tol,
     )
 
 
-def projected_invariants(
-    model: StateSpaceModel,
-    picks: tuple[int, ...],
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> IntegerInvariants:
+def projected_invariants(model: StateSpaceModel, picks: tuple[int, ...]) -> IntegerInvariants:
     """Integer invariants of the behavior projected onto the given channels.
 
     Detected from the dimension profile d(L), the ranks of the projected
@@ -298,7 +277,8 @@ def projected_invariants(
     M = behavior_window_map(model, L_hi)
     n, m = model.n, model.m
     dims = [0] + [
-        tol.rank(M[channel_rows(picks, model.q, L), : n + m * L]) for L in range(1, L_hi + 1)
+        DEFAULT_RANK_TOL.rank(M[channel_rows(picks, model.q, L), : n + m * L])
+        for L in range(1, L_hi + 1)
     ]
     diffs = [dims[L + 1] - dims[L] for L in range(1, L_hi)]
     settle = max(2, n + 2)
@@ -318,27 +298,18 @@ def projected_invariants(
     return IntegerInvariants(m_proj, len(picks) - m_proj, n_proj, lag)
 
 
-def horizon_lag(
-    plant: StateSpaceModel,
-    picks_w: tuple[int, ...],
-    ref: StateSpaceModel,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> int:
+def horizon_lag(plant: StateSpaceModel, picks_w: tuple[int, ...], ref: StateSpaceModel) -> int:
     """The lag a horizon L must exceed: the largest of the plant's, the
     reference's and the projected (uncontrolled) plant's on `picks_w`."""
     return max(
         invariants_of(plant).lag,
         invariants_of(ref).lag,
-        projected_invariants(plant, picks_w, tol).lag,
+        projected_invariants(plant, picks_w).lag,
     )
 
 
 def observable_realization(
-    A: np.ndarray,
-    B: np.ndarray,
-    C: np.ndarray,
-    D: np.ndarray,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
+    A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Quotient by the unobservable subspace (exact structural reduction).
 
@@ -357,7 +328,7 @@ def observable_realization(
     n = A.shape[0]
     if n == 0:
         return A, B, C, D
-    W = orthonormal_basis(observability_matrix(A, C, n).T, tol).basis
+    W = orthonormal_basis(observability_matrix(A, C, n).T).basis
     return W.T @ A @ W, W.T @ B, C @ W, D
 
 

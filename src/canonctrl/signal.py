@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, InfeasibleRankError, PartitionError
-from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, RankTolerance, image_svd
+from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, image_svd
 
 
 class HankelImage(NamedTuple):
@@ -37,7 +37,7 @@ class Trajectory:
     """A length-T, q-channel real time series, stored as a (T, q) array.
 
     `hankel_images` holds the factorizations :func:`hankel_image` made of
-    this trajectory's Hankel matrices, keyed by (L, rank tolerance).
+    this trajectory's Hankel matrices, keyed by the depth L.
     """
 
     values: np.ndarray
@@ -143,37 +143,28 @@ def hankel(w: Trajectory, L: int) -> np.ndarray:
     return windows.transpose(2, 1, 0).reshape(rows, -1)
 
 
-def hankel_image(
-    w: Trajectory, L: int, tol: RankTolerance = DEFAULT_RANK_TOL
-) -> HankelImage:
+def hankel_image(w: Trajectory, L: int) -> HankelImage:
     """Orthonormal image basis and singular values of H_L(w), factored once.
 
-    The first call for (L, tol) runs one thin SVD and stores the result in
+    The first call for L runs one thin SVD and stores the result in
     `w.hankel_images`, so it lives exactly as long as w; the basis is a
-    read-only copy of the kept columns.
+    read-only copy of the columns the package rank rule keeps.
     """
-    key = (L, tol)
-    if key not in w.hankel_images:
-        basis, s = image_svd(hankel(w, L), tol)
+    if L not in w.hankel_images:
+        basis, s = image_svd(hankel(w, L))
         basis.basis.flags.writeable = False
-        w.hankel_images[key] = HankelImage(basis, s)
-    return w.hankel_images[key]
+        w.hankel_images[L] = HankelImage(basis, s)
+    return w.hankel_images[L]
 
 
-def is_gpe(
-    w: Trajectory,
-    L: int,
-    m_bound: int,
-    n_bound: int,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> tuple[bool, int]:
+def is_gpe(w: Trajectory, L: int, m_bound: int, n_bound: int) -> tuple[bool, int]:
     """Excitation rank test: does rank H_L(w) equal m_bound*L + n_bound?
 
     m_bound and n_bound are caller-supplied input-count and order bounds for
     the generating system; the achieved rank is returned for diagnostics.
-    The rank counts the singular values :func:`hankel_image` stored for
-    (L, tol); with none stored, only singular values are computed (so a
-    trajectory tried and rejected pays for no image basis).
+    The rank counts the singular values :func:`hankel_image` stored for L
+    with the package rank rule; with none stored, only singular values are
+    computed (so a trajectory tried and rejected pays for no image basis).
     """
     if m_bound < 0 or n_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -183,11 +174,11 @@ def is_gpe(
         raise InfeasibleRankError(
             f"target rank {target} exceeds min(H shape)={min(shape)}"
         )
-    stored = w.hankel_images.get((L, tol))
+    stored = w.hankel_images.get(L)
     if stored is None:
-        achieved = tol.rank(hankel(w, L))
+        achieved = DEFAULT_RANK_TOL.rank(hankel(w, L))
     else:
-        achieved = tol.count(stored.singular_values, shape)
+        achieved = DEFAULT_RANK_TOL.count(stored.singular_values, shape)
     return achieved == target, achieved
 
 

@@ -7,7 +7,7 @@ asks; the paper's controller formula works on the bases too).  A section
 of a basis (:func:`section`) is the one primitive for "the vectors of a
 subspace that satisfy a constraint": the hidden behavior (:func:`zero_section`) and the
 intersection (:func:`intersect`) are both sections.  Everything is
-SVD-based; rank decisions go through a single :class:`RankTolerance` rule
+SVD-based; every rank decision reads the one rule :data:`DEFAULT_RANK_TOL`,
 so the whole package cuts singular values the same way.  Wide matrices
 (data Hankel matrices have far more columns than rows) are reduced to a
 square factor by a block-wise QR factorization of their transpose before
@@ -61,6 +61,7 @@ class RankTolerance:
         return self.count(np.linalg.svd(_thin_factor(M), compute_uv=False), M.shape)
 
 
+#: The rank rule every rank decision of the package reads; it is not a parameter.
 DEFAULT_RANK_TOL = RankTolerance()
 
 
@@ -135,34 +136,29 @@ class Projector:
         return self.basis.ambient_dim
 
 
-def orthonormal_basis(
-    M: np.ndarray,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-    scale: float | None = None,
-) -> BehaviorBasis:
+def orthonormal_basis(M: np.ndarray, *, scale: float | None = None) -> BehaviorBasis:
     """Orthonormal basis of the column space of M (zero matrix gives r = 0).
 
-    The leading left singular vectors that `tol` keeps.  `scale` anchors the
-    cutoff when M is a product whose own largest singular value may be pure
-    rounding noise (for example a block of an orthonormal basis times an
-    annihilator, or a numerically zero projector); see :class:`RankTolerance`.
+    The leading left singular vectors that the package rank rule keeps.
+    `scale` anchors the cutoff when M is a product whose own largest
+    singular value may be pure rounding noise (for example a block of an
+    orthonormal basis times an annihilator, or a numerically zero
+    projector); see :class:`RankTolerance`.
     """
-    return image_svd(M, tol, scale)[0]
+    return image_svd(M, scale=scale)[0]
 
 
 def image_svd(
-    M: np.ndarray,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-    scale: float | None = None,
+    M: np.ndarray, *, scale: float | None = None
 ) -> tuple[BehaviorBasis, np.ndarray]:
-    """`orthonormal_basis(M, tol, scale)` and all singular values of M, from one SVD."""
+    """`orthonormal_basis(M, scale=scale)` and all singular values of M, from one SVD."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={M.ndim}")
     if M.size == 0:
         return BehaviorBasis(M.shape[0], np.zeros((M.shape[0], 0))), np.zeros(0)
     U, s, _ = np.linalg.svd(_thin_factor(M), full_matrices=False)
-    return BehaviorBasis(M.shape[0], U[:, : tol.count(s, M.shape, scale)].copy()), s
+    return BehaviorBasis(M.shape[0], U[:, : DEFAULT_RANK_TOL.count(s, M.shape, scale)].copy()), s
 
 
 def image_basis(P: Projector) -> BehaviorBasis:
@@ -170,29 +166,21 @@ def image_basis(P: Projector) -> BehaviorBasis:
     return P.basis
 
 
-def pinv(
-    M: np.ndarray,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-    scale: float | None = None,
-) -> np.ndarray:
+def pinv(M: np.ndarray, *, scale: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the package rank rule.
 
-    Inverts the singular triplets that `tol` keeps (`scale` anchors the
+    Inverts the singular triplets that rule keeps (`scale` anchors the
     cutoff as in :func:`orthonormal_basis`) and drops the rest.
     """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return np.zeros((M.shape[1], M.shape[0]))
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    r = tol.count(s, M.shape, scale)
+    r = DEFAULT_RANK_TOL.count(s, M.shape, scale)
     return (Vt[:r].T / s[:r]) @ U[:, :r].T
 
 
-def section(
-    keep: np.ndarray,
-    constraint: np.ndarray,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> BehaviorBasis:
+def section(keep: np.ndarray, constraint: np.ndarray) -> BehaviorBasis:
     """The image of keep on the coefficient vectors that constraint annihilates.
 
     keep and constraint share their r columns: the image of
@@ -201,34 +189,30 @@ def section(
     both cutoffs are anchored at 1: rounding-level rows (an identically zero
     block) do not count as rank, and a trivial section comes out empty.
     """
-    annihilator = np.eye(keep.shape[1]) - pinv(constraint, tol, scale=1.0) @ constraint
-    return orthonormal_basis(keep @ annihilator, tol, scale=1.0)
+    annihilator = np.eye(keep.shape[1]) - pinv(constraint, scale=1.0) @ constraint
+    return orthonormal_basis(keep @ annihilator, scale=1.0)
 
 
-def zero_section(
-    U: np.ndarray,
-    keep_rows: np.ndarray,
-    zero_rows: np.ndarray,
-    tol: RankTolerance = DEFAULT_RANK_TOL,
-) -> BehaviorBasis:
+def zero_section(U: np.ndarray, keep_rows: np.ndarray, zero_rows: np.ndarray) -> BehaviorBasis:
     """The keep_rows of the vectors in Image U that vanish on zero_rows.
 
     U has orthonormal columns.  U a vanishes on zero_rows exactly when a is
     in ker U_z, so this is the :func:`section` of U_k by U_z.
     """
-    return section(U[keep_rows], U[zero_rows], tol)
+    return section(U[keep_rows], U[zero_rows])
 
 
-def pinv_symmetric(S: np.ndarray, tol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_symmetric(S: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric matrix via eigendecomposition.
 
-    Inverts the eigenpairs whose |eigenvalue| (a singular value) `tol` keeps;
+    Inverts the eigenpairs whose |eigenvalue| (a singular value) the package
+    rank rule keeps;
     the result stays exactly symmetric, which a generic SVD pinv does not.
     """
     S = np.asarray(S, dtype=float)
     w, V = np.linalg.eigh(0.5 * (S + S.T))  # the symmetrized copy dies with the call
     order = np.argsort(-np.abs(w))
-    keep = order[: tol.count(np.abs(w[order]), S.shape)]
+    keep = order[: DEFAULT_RANK_TOL.count(np.abs(w[order]), S.shape)]
     w, V = w[keep], V[:, keep]  # one copy of the kept columns; the full V is freed
     X = (V / w) @ V.T
     X += X.T
@@ -241,7 +225,7 @@ def projector_onto(B: BehaviorBasis) -> Projector:
     return Projector(B)
 
 
-def intersect(PV: Projector, PW: Projector, tol: RankTolerance = DEFAULT_RANK_TOL) -> Projector:
+def intersect(PV: Projector, PW: Projector) -> Projector:
     """Orthogonal projector onto the intersection of two subspaces.
 
     V ∩ W is the :func:`section` of Q_V by (I - Q_W Q_W^T) Q_V, all O(d r^2)
@@ -256,7 +240,7 @@ def intersect(PV: Projector, PW: Projector, tol: RankTolerance = DEFAULT_RANK_TO
             f"ambient dims differ: {PV.ambient_dim} vs {PW.ambient_dim}"
         )
     QV, QW = PV.basis.basis, PW.basis.basis
-    inter = section(QV, QV - QW @ (QW.T @ QV), tol)
+    inter = section(QV, QV - QW @ (QW.T @ QV))
     Q = inter.basis
     defect = max(float(np.linalg.norm(Q - B @ (B.T @ Q))) for B in (QV, QW))
     if defect > DEFAULT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(Q))):

@@ -24,7 +24,13 @@ from canonctrl.canonical import (
     write_controller_csv,
 )
 from canonctrl.errors import DimensionError, EmptyBasisError
-from canonctrl.implementability import DataBundle, check_data, reference_basis
+from canonctrl.implementability import (
+    DataBundle,
+    InvariantBounds,
+    check_data,
+    check_model,
+    reference_basis,
+)
 from canonctrl.lti_core import (
     free_model,
     invariants_of,
@@ -363,6 +369,31 @@ class TestSynthesize:
         syn = synthesize(bundle)
         assert not syn.verified
         assert syn.report.max_angle > 1e-8
+
+    def test_stale_positional_rank_tolerance_is_a_type_error(self):
+        # the rank rule is no parameter; a tolerance passed where it once went
+        # fails at the call, not later as a residual or angle tolerance
+        plant, partition = harness.static_plant()
+        bundle = DataBundle(
+            harness.plant_data(plant, 40, seed=3),
+            harness.decaying_reference_data(40),
+            2,
+            partition,
+            InvariantBounds(1, 0, 0, 1, 0),
+        )
+        syn = synthesize(bundle)
+        R_basis = reference_basis(bundle.ref_traj, 2)
+        stale = subspace.RankTolerance()
+        calls = (
+            lambda: check_data(bundle, stale),
+            lambda: check_model(plant, partition, harness.decaying_reference(), 2, stale),
+            lambda: synthesize(bundle, stale),
+            lambda: verify_closed_loop(syn.P_p.basis, syn.controller, R_basis, syn.plan, stale),
+            lambda: orthonormal_basis(np.eye(2), stale),
+        )
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     def test_matches_step_by_step_sequence(self):
         for seed in (6000, 6002, 6004):

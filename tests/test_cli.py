@@ -326,15 +326,44 @@ class TestProptest:
         assert payload["failures"] == []
         assert payload["failure_counts"] == {}
 
-    def test_faulty_tolerance_reports_failures(self, capsys):
-        code, stdout, _ = run_cli(
-            ["proptest", "--seeds", "6", "--seed", "100", "--tol", "1e-1"], capsys
-        )
+    def test_failing_case_exits_1_and_is_listed(self, monkeypatch, capsys):
+        evaluate = harness.evaluate_case
+
+        def forced_evaluate(case, cfg):
+            result = evaluate(case, cfg)
+            if case.seed == 102:
+                result.failures.append("closed_loop_exact")
+            return result
+
+        monkeypatch.setattr(harness, "evaluate_case", forced_evaluate)
+        code, stdout, _ = run_cli(["proptest", "--seeds", "4", "--seed", "100"], capsys)
         assert code == 1
         payload = json.loads(stdout)
-        assert payload["failures"]
-        assert all("seed" in f for f in payload["failures"])
+        assert payload["passes"] == 3
+        assert payload["failures"] == [
+            {"seed": 102, "kind": "closed_loop", "checks": ["closed_loop_exact"]}
+        ]
+
+    def test_rank_tolerance_flag_is_gone(self, capsys):
+        # the rank rule is fixed; a tolerance override is a usage error
+        code, stdout, err = run_cli(["proptest", "--seeds", "1", "--tol", "1e-1"], capsys)
+        assert code == 2 and "--tol" in err and stdout == ""
 
     def test_zero_seeds_is_usage_error(self, capsys):
         code, _, err = run_cli(["proptest", "--seeds", "0"], capsys)
         assert code == 2 and "seed" in err
+
+    @pytest.mark.parametrize(
+        "flags,name",
+        [
+            (["--q-w-max", "0"], "q_w_max"),
+            (["--q-c-max", "0"], "q_c_max"),
+            (["--n-max", "-1"], "n_max"),
+            (["--seed", "-1"], "seed"),
+        ],
+    )
+    def test_bad_bounds_are_input_errors(self, flags, name, capsys):
+        code, stdout, err = run_cli(["proptest", "--seeds", "2", *flags], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and name in err
+        assert stdout == ""

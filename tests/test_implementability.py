@@ -28,7 +28,7 @@ from canonctrl.signal import (
     hankel_image,
     is_gpe,
 )
-from canonctrl.subspace import RankTolerance, orthonormal_basis, principal_angles, subspaces_equal
+from canonctrl.subspace import orthonormal_basis, principal_angles, subspaces_equal
 
 
 @pytest.fixture
@@ -162,26 +162,19 @@ class TestStoredFactorization:
                 hankel_image(fresh, case.L)
                 assert is_gpe(fresh, case.L, m, n) == unstored, f"seed {case.seed}"
 
-    def test_entries_keyed_by_tolerance(self):
+    def test_entries_keyed_by_horizon(self):
         case = harness.build_case(4, "closed_loop")
-
-        def bundle():
-            return DataBundle(
-                Trajectory(case.plant_traj.values),
-                Trajectory(case.ref_traj.values),
-                case.L,
-                case.wc_partition,
-                case.bounds,
+        first = DataBundle(case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds)
+        # in (w, c) order a bundle keeps the plant trajectory it is given
+        plant, ref, partition = first.plant_traj, first.ref_traj, first.partition
+        for L in (case.L, case.L + 1):
+            shared = DataBundle(plant, ref, L, partition, case.bounds)
+            assert shared.plant_traj is plant and shared.ref_traj is ref
+            fresh = DataBundle(
+                Trajectory(plant.values), Trajectory(ref.values), L, partition, case.bounds
             )
-
-        coarse = RankTolerance(1e-1)
-        reused = bundle()
-        default = check_data(reused).to_dict()
-        after_default = check_data(reused, coarse).to_dict()
-        assert after_default == check_data(bundle(), coarse).to_dict()
-        # the coarse cutoff drops directions, so a shared entry would show
-        assert after_default["ranks"] != default["ranks"]
-        assert check_data(reused).to_dict() == default
+            assert check_data(shared).to_dict() == check_data(fresh).to_dict(), f"L={L}"
+        assert set(plant.hankel_images) == set(ref.hankel_images) == {case.L, case.L + 1}
 
     def test_uncontrolled_basis_matches_w_channel_hankel(self):
         for case in self.cases(40):

@@ -8,6 +8,7 @@ from canonctrl import harness
 from canonctrl.errors import DimensionError, NumericalDegeneracyError
 from canonctrl.signal import hankel
 from canonctrl.subspace import (
+    DEFAULT_RANK_TOL,
     BehaviorBasis,
     Projector,
     RankTolerance,
@@ -106,13 +107,13 @@ class TestWideMatrices:
     )
 
     def test_rank_and_subspace_match_direct_svd(self, rng):
-        tol = RankTolerance()
+        tol = DEFAULT_RANK_TOL
         for rows, cols, spectrum in self.CASES:
             for zero_rows in ((), (0, rows - 1)):
                 M = wide_matrix(rng, rows, cols, spectrum[: rows - len(zero_rows)], zero_rows)
                 U, s, _ = np.linalg.svd(M, full_matrices=False)
                 r = int(np.count_nonzero(s > tol.tol_rel * s[0] * min(M.shape)))
-                B = orthonormal_basis(M, tol)
+                B = orthonormal_basis(M)
                 assert tol.rank(M) == B.dim == r
                 direct = BehaviorBasis(rows, U[:, :r])
                 assert subspaces_equal(B, direct, 1e-10)[0]
@@ -159,8 +160,8 @@ class TestBlockwiseFactor:
     """
 
     def assert_matches_one_qr(self, M):
-        tol = RankTolerance()
-        B, s = image_svd(M, tol)
+        tol = DEFAULT_RANK_TOL
+        B, s = image_svd(M)
         U1, s1 = one_qr_svd(M)
         r = tol.count(s1, M.shape)
         assert tol.count(s, M.shape) == B.dim == tol.rank(M) == r
