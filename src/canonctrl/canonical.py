@@ -17,7 +17,9 @@ holds them (:func:`canonctrl.signal.arrange_by_partition` arranges any
 other).  :func:`synthesize` runs the whole sequence on a bundle.  Its
 projectors read the Hankel factorizations stored with the trajectories
 (:func:`canonctrl.signal.hankel_image`), so a checked bundle is factored no
-further, and the closed-loop check gets the bases the check stored.
+further, and the closed-loop check gets the bases the check stored.  The
+closed-loop check is an exact subspace equality, decided on the fixed angle
+tolerance :data:`canonctrl.subspace.DEFAULT_ANGLE_TOL`; no caller sets it.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, EmptyBasisError
+from .errors import DimensionError
 from .implementability import DataBundle, reference_basis
 from .signal import Trajectory, channel_rows, hankel_image, read_float_rows, write_float_rows
 from .subspace import (
-    DEFAULT_ANGLE_TOL,
     BehaviorBasis,
     Projector,
     intersect,
@@ -217,14 +218,14 @@ def verify_closed_loop(
     C: ControllerBasis,
     R_basis: BehaviorBasis,
     plan: PermutationPlan,
-    *,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
 ) -> tuple[bool, ClosedLoopReport]:
     """Does interconnecting the plant with C reproduce the reference on w?
 
     Intersects the plant's restricted behavior with the controller lift,
     projects onto the w coordinates, and compares against the reference by
-    principal angles.  True iff the subspaces coincide.
+    principal angles.  True iff the subspaces coincide: equal dimensions
+    and a largest angle below the fixed
+    :data:`~canonctrl.subspace.DEFAULT_ANGLE_TOL`.
     """
     if P_basis.ambient_dim != plan.ambient_dim:
         raise DimensionError("plant basis ambient does not match the plan")
@@ -232,7 +233,7 @@ def verify_closed_loop(
         raise DimensionError("reference basis ambient does not match the plan")
     P_loop = intersect(projector_onto(P_basis), projector_onto(lift_controller(C, plan)))
     controlled = orthonormal_basis(P_loop.basis.basis[plan.w_rows], scale=1.0)
-    verified, max_angle = subspaces_equal(controlled, R_basis, angle_tol)
+    verified, max_angle = subspaces_equal(controlled, R_basis)
     angles = tuple(float(a) for a in principal_angles(controlled, R_basis))
     report = ClosedLoopReport(
         verified=verified,
@@ -256,7 +257,7 @@ class Synthesis:
     report: ClosedLoopReport
 
 
-def synthesize(bundle: DataBundle, *, angle_tol: float = DEFAULT_ANGLE_TOL) -> Synthesis:
+def synthesize(bundle: DataBundle) -> Synthesis:
     """Canonical controller from measured data, verified in closed loop.
 
     Builds the plant and reference-lift projectors, synthesizes the
@@ -271,21 +272,8 @@ def synthesize(bundle: DataBundle, *, angle_tol: float = DEFAULT_ANGLE_TOL) -> S
     P_r = reference_lift_projector(bundle.ref_traj, plan.k, L, plan)
     ctrl = controller_basis(P_r, P_p, plan)
     R_basis = reference_basis(bundle.ref_traj, L)
-    verified, report = verify_closed_loop(P_p.basis, ctrl, R_basis, plan, angle_tol=angle_tol)
+    verified, report = verify_closed_loop(P_p.basis, ctrl, R_basis, plan)
     return Synthesis(plan, P_p, P_r, ctrl, verified, report)
-
-
-def sample_controller_trajectory(C: ControllerBasis, seed: int) -> Trajectory:
-    """Random trajectory of the controller behavior, deterministic in the seed.
-
-    A seeded random combination of the basis columns, de-interleaved into a
-    k-channel, length-L trajectory.
-    """
-    if C.dim == 0:
-        raise EmptyBasisError("controller behavior is zero-dimensional")
-    rng = np.random.default_rng(seed)
-    vec = C.basis.basis @ rng.standard_normal(C.dim)
-    return Trajectory(vec.reshape(C.L, C.k))
 
 
 def write_controller_csv(path, C: ControllerBasis) -> None:

@@ -5,6 +5,14 @@ Subcommands: `simulate` (model JSON -> trajectory CSV), `check`
 controller basis + closed-loop verification), `proptest` (seeded batch of
 randomized cross-checks).  JSON goes to stdout, diagnostics to stderr.
 
+`check` and `synth` take no tolerance: every inclusion is decided on
+:data:`~canonctrl.subspace.DEFAULT_RESIDUAL_TOL` and the closed-loop
+equality on :data:`~canonctrl.subspace.DEFAULT_ANGLE_TOL`, as every rank
+decision reads :data:`~canonctrl.subspace.DEFAULT_RANK_TOL`.  A `--config`
+file supplies option defaults (flags win); each of its keys must name an
+option of the subcommand, spelled with underscores, or the command is an
+input error.
+
 Exit codes: 0 success / implementable / verified, 1 definite negative,
 2 usage or input error.
 """
@@ -61,6 +69,13 @@ def _load_config(args) -> None:
             data = json.load(f)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
+        options = set(vars(args)) - {"command", "func", "config", "config_data"}
+        unknown = sorted(set(data) - options)
+        if unknown:
+            raise ValueError(
+                f"config key(s) {', '.join(map(repr, unknown))} name no option of "
+                f"{args.command} (keys are option names with underscores)"
+            )
         args.config_data = data
 
 
@@ -81,7 +96,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _bundle_from_args(args) -> tuple[DataBundle, float]:
+def _bundle_from_args(args) -> DataBundle:
     plant = signal.read_csv(_opt(args, "plant", required=True))
     ref = signal.read_csv(_opt(args, "ref", required=True))
     picks_w = _parse_picks(_opt(args, "picks_w", required=True))
@@ -92,22 +107,20 @@ def _bundle_from_args(args) -> tuple[DataBundle, float]:
     m_plant, m_ref = _parse_bound_pair(_opt(args, "m_bound", required=True))
     n_plant, n_ref = _parse_bound_pair(_opt(args, "n_bound", required=True))
     bounds = InvariantBounds(m_plant, n_plant, m_ref, n_ref, lag_bound)
-    residual_tol = float(_opt(args, "tol", default=1e-8))
-    return DataBundle(plant, ref, L, partition, bounds), residual_tol
+    return DataBundle(plant, ref, L, partition, bounds)
 
 
 def cmd_check(args) -> int:
-    bundle, residual_tol = _bundle_from_args(args)
-    verdict = check_data(bundle, residual_tol=residual_tol)
+    verdict = check_data(_bundle_from_args(args))
     print(verdict.to_json())
     return 0 if verdict.implementable else 1
 
 
 def cmd_synth(args) -> int:
-    bundle, residual_tol = _bundle_from_args(args)
+    bundle = _bundle_from_args(args)
     out = Path(_opt(args, "out", required=True))
-    verdict = check_data(bundle, residual_tol=residual_tol)
-    syn = canonical.synthesize(bundle, angle_tol=residual_tol)
+    verdict = check_data(bundle)
+    syn = canonical.synthesize(bundle)
     ctrl = syn.controller
     canonical.write_controller_csv(out, ctrl)
     _print_json(
@@ -122,11 +135,7 @@ def cmd_synth(args) -> int:
 
 def cmd_proptest(args) -> int:
     seeds = int(_opt(args, "seeds", required=True))
-    if seeds < 1:
-        raise ValueError(f"need at least one seed, got {seeds}")
     base_seed = int(_opt(args, "seed", default=0))
-    if base_seed < 0:
-        raise ValueError(f"base seed must be >= 0, got {base_seed}")
     cfg = harness.HarnessConfig(
         q_w_max=int(_opt(args, "q_w_max", default=2)),
         q_c_max=int(_opt(args, "q_c_max", default=2)),
@@ -165,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lag-bound", dest="lag_bound", type=int, help="bound on the largest lag")
         p.add_argument("--m-bound", dest="m_bound", help="input-count bound(s): 'm' or 'm_plant,m_ref'")
         p.add_argument("--n-bound", dest="n_bound", help="order bound(s): 'n' or 'n_plant,n_ref'")
-        p.add_argument(
-            "--tol",
-            type=float,
-            help="inclusion residual tolerance (default 1e-8); for synth also the "
-            "closed-loop principal-angle tolerance",
-        )
         add_common(p)
 
     p_check = sub.add_parser("check", help="data-driven implementability verdict")

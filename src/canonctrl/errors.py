@@ -27,7 +27,3 @@ class GenerationError(RuntimeError):
 
 class NumericalDegeneracyError(ArithmeticError):
     """A computed projector violates its invariants beyond tolerance."""
-
-
-class EmptyBasisError(ValueError):
-    """An operation requires a nonzero subspace but received dimension 0."""

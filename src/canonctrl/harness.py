@@ -371,7 +371,9 @@ def run_batch(
     cases that raised count under "exception".
     """
     if n_cases < 1:
-        raise ValueError("need at least one case")
+        raise ValueError(f"need at least one seed, got {n_cases}")
+    if base_seed < 0:
+        raise ValueError(f"base seed must be >= 0, got {base_seed}")
     results = []
     for i in range(n_cases):
         seed = base_seed + i

@@ -3,7 +3,10 @@
 The data route builds three raw-data subspaces over horizon L -- the hidden
 behavior N (w-windows compatible with c pinned to zero), the reference R,
 and the uncontrolled plant behavior P_w -- and decides implementability by
-testing the inclusion chain N ⊆ R ⊆ P_w through least-squares residuals.
+testing the inclusion chain N ⊆ R ⊆ P_w through least-squares residuals,
+each held to the fixed :data:`~canonctrl.subspace.DEFAULT_RESIDUAL_TOL`
+(no caller sets it: on exact data, another value could only flip a right
+verdict).
 The model route computes the same three subspaces exactly from state-space
 oracles; the two must agree whenever the data is sufficiently exciting.
 
@@ -27,7 +30,7 @@ import numpy as np
 from . import lti_core
 from .errors import DimensionError, HorizonError
 from .signal import Partition, Trajectory, arrange_by_partition, channel_rows, hankel_image, is_gpe
-from .subspace import DEFAULT_RESIDUAL_TOL, BehaviorBasis, is_subspace_of, orthonormal_basis
+from .subspace import BehaviorBasis, is_subspace_of, orthonormal_basis
 
 
 @dataclass(frozen=True)
@@ -174,10 +177,9 @@ def _verdict_from_bases(
     Pw: BehaviorBasis,
     gpe_plant: bool,
     gpe_ref: bool,
-    residual_tol: float,
 ) -> ImplementabilityVerdict:
-    ok_left, res_left = is_subspace_of(N, R, residual_tol)
-    ok_right, res_right = is_subspace_of(R, Pw, residual_tol)
+    ok_left, res_left = is_subspace_of(N, R)
+    ok_right, res_right = is_subspace_of(R, Pw)
     inclusions = ok_left and ok_right
     phi = R.basis.T @ N.basis if inclusions else None
     psi = Pw.basis.T @ R.basis if inclusions else None
@@ -195,9 +197,7 @@ def _verdict_from_bases(
     )
 
 
-def check_data(
-    bundle: DataBundle, *, residual_tol: float = DEFAULT_RESIDUAL_TOL
-) -> ImplementabilityVerdict:
+def check_data(bundle: DataBundle) -> ImplementabilityVerdict:
     """Decide implementability of the reference directly from trajectories.
 
     Requires invariant bounds in the bundle: the horizon must exceed the lag
@@ -216,7 +216,7 @@ def check_data(
     Pw = uncontrolled_basis(bundle.plant_traj, bundle.partition, bundle.L)
     gpe_plant, _ = is_gpe(bundle.plant_traj, bundle.L, bounds.m_plant, bounds.n_plant)
     gpe_ref, _ = is_gpe(bundle.ref_traj, bundle.L, bounds.m_ref, bounds.n_ref)
-    return _verdict_from_bases(N, R, Pw, gpe_plant, gpe_ref, residual_tol)
+    return _verdict_from_bases(N, R, Pw, gpe_plant, gpe_ref)
 
 
 def check_model(
@@ -224,8 +224,6 @@ def check_model(
     wc_partition: Partition,
     ref: lti_core.StateSpaceModel,
     L: int,
-    *,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> ImplementabilityVerdict:
     """Decide implementability from state-space oracles of plant and reference.
 
@@ -251,4 +249,4 @@ def check_model(
     N = lti_core.hidden_restricted_basis(U, wc_partition, L)
     R = lti_core.restricted_behavior_basis(ref, L)
     Pw = _w_rows_image(U, wc_partition.picks_w, plant.q, L)
-    return _verdict_from_bases(N, R, Pw, True, True, residual_tol)
+    return _verdict_from_bases(N, R, Pw, True, True)

@@ -1,4 +1,4 @@
-"""Trajectories, the cut/shift/Hankel operators, and the excitation rank test.
+"""Trajectories, the Hankel operator, and the excitation rank test.
 
 Conventions used everywhere in the package:
 
@@ -107,20 +107,6 @@ class Partition:
     @property
     def n_c(self) -> int:
         return len(self.picks_c)
-
-
-def cut(w: Trajectory, L: int) -> Trajectory:
-    """First L samples of w."""
-    if not 1 <= L <= w.T:
-        raise ValueError(f"L={L} outside [1, {w.T}]")
-    return Trajectory(w.values[:L])
-
-
-def shift(w: Trajectory, tau: int) -> Trajectory:
-    """Samples tau..T of w (tau is 1-based; tau=1 is the identity)."""
-    if not 1 <= tau <= w.T:
-        raise ValueError(f"tau={tau} outside [1, {w.T}]")
-    return Trajectory(w.values[tau - 1 :])
 
 
 def _hankel_shape(w: Trajectory, L: int) -> tuple[int, int]:

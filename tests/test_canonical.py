@@ -18,12 +18,11 @@ from canonctrl.canonical import (
     plant_projector,
     read_controller_csv,
     reference_lift_projector,
-    sample_controller_trajectory,
     synthesize,
     verify_closed_loop,
     write_controller_csv,
 )
-from canonctrl.errors import DimensionError, EmptyBasisError
+from canonctrl.errors import DimensionError
 from canonctrl.implementability import (
     DataBundle,
     InvariantBounds,
@@ -372,7 +371,8 @@ class TestSynthesize:
 
     def test_stale_positional_rank_tolerance_is_a_type_error(self):
         # the rank rule is no parameter; a tolerance passed where it once went
-        # fails at the call, not later as a residual or angle tolerance
+        # fails at the call, not later as a residual or angle tolerance.  The
+        # residual and angle tolerances are fixed too: naming one fails as well.
         plant, partition = harness.static_plant()
         bundle = DataBundle(
             harness.plant_data(plant, 40, seed=3),
@@ -390,6 +390,14 @@ class TestSynthesize:
             lambda: synthesize(bundle, stale),
             lambda: verify_closed_loop(syn.P_p.basis, syn.controller, R_basis, syn.plan, stale),
             lambda: orthonormal_basis(np.eye(2), stale),
+            lambda: check_data(bundle, residual_tol=1.0),
+            lambda: check_model(
+                plant, partition, harness.decaying_reference(), 2, residual_tol=1.0
+            ),
+            lambda: synthesize(bundle, angle_tol=1e-40),
+            lambda: verify_closed_loop(
+                syn.P_p.basis, syn.controller, R_basis, syn.plan, angle_tol=1e-40
+            ),
         )
         for call in calls:
             with pytest.raises(TypeError):
@@ -490,36 +498,6 @@ class TestSynthesize:
         # the closed-loop intersection is a section of the plant basis, and
         # the plant and reference bases are the ones the projectors hold
         assert square_calls == []
-
-
-class TestSampling:
-    def test_one_dimensional_controller(self):
-        ctrl = ControllerBasis(line(1.0, 0.5), 1, 2)
-        traj = sample_controller_trajectory(ctrl, seed=9)
-        assert traj.T == 2 and traj.q == 1
-        assert pytest.approx(traj.values[1, 0] / traj.values[0, 0]) == 0.5
-
-    def test_membership_residual(self, static_setup):
-        data, ref = static_setup
-        plan = PermutationPlan(1, 1, 2)
-        ctrl = controller_basis(
-            reference_lift_projector(ref, 1, 2, plan), plant_projector(data, 2), plan
-        )
-        Q = ctrl.basis.basis
-        for seed in range(5):
-            vec = sample_controller_trajectory(ctrl, seed).values.reshape(-1)
-            assert np.linalg.norm(vec - Q @ (Q.T @ vec)) < 1e-10
-
-    def test_deterministic(self):
-        ctrl = ControllerBasis(orthonormal_basis(np.eye(4)[:, :2]), 2, 2)
-        t1 = sample_controller_trajectory(ctrl, seed=5)
-        t2 = sample_controller_trajectory(ctrl, seed=5)
-        assert np.array_equal(t1.values, t2.values)
-
-    def test_empty_controller_rejected(self):
-        ctrl = ControllerBasis(orthonormal_basis(np.zeros((4, 0))), 2, 2)
-        with pytest.raises(EmptyBasisError):
-            sample_controller_trajectory(ctrl, seed=0)
 
 
 class TestControllerExport:

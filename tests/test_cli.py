@@ -165,6 +165,42 @@ class TestCheck:
         assert code == 1
 
 
+class TestFixedTolerances:
+    """The inclusion and closed-loop tolerances are not options: no flag or
+    config key can move a verdict."""
+
+    @pytest.mark.parametrize(
+        "command, plant_key, lag, n_plant, tol",
+        [
+            # a tolerance of 1 would pass the accumulator (hidden_in_ref 0.316)
+            ("check", "integrator_data", 1, 1, "1"),
+            # 1e-40 would fail the pass-through plant's exact closed loop
+            ("synth", "static_data", 0, 0, "1e-40"),
+        ],
+    )
+    def test_tol_flag_is_a_usage_error(
+        self, tmp_path, fixtures, capsys, command, plant_key, lag, n_plant, tol
+    ):
+        out = tmp_path / "controller.csv"
+        args = check_args(fixtures, plant_key, lag, n_plant, extra=["--tol", tol])
+        args[0] = command
+        if command == "synth":
+            args += ["--out", str(out)]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == "" and "--tol" in err
+        assert not out.exists()
+
+    # "seeds" names an option of proptest, not of check
+    @pytest.mark.parametrize("key", ["tol", "picks-w", "seeds"])
+    def test_config_key_naming_no_option_is_an_input_error(
+        self, tmp_path, fixtures, capsys, key
+    ):
+        cfg_path = write_static_config(tmp_path, fixtures, **{key: 1})
+        code, stdout, err = run_cli(["check", "--config", str(cfg_path)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and repr(key) in err
+
+
 class TestMalformedInputs:
     """Wrongly typed inputs are input errors (exit 2), never a definite negative."""
 

@@ -437,6 +437,12 @@ class TestConsistencyProperties:
         assert [f["seed"] for f in report["failures"]] == [1, 2]
         assert report["failures"][1]["checks"] == ["exception: forced"]
 
+    @pytest.mark.parametrize("n_cases, base_seed", [(0, 0), (2, -1)])
+    def test_batch_rejects_bad_inputs(self, n_cases, base_seed):
+        # a bad input is an error, not a batch of failing cases
+        with pytest.raises(ValueError, match="seed"):
+            harness.run_batch(n_cases, base_seed)
+
     def test_monotone_in_horizon(self):
         # implementable at L+1 implies implementable at L
         checked = 0

@@ -13,13 +13,11 @@ from canonctrl.signal import (
     Trajectory,
     arrange_by_partition,
     channel_rows,
-    cut,
     hankel,
     hankel_image,
     is_gpe,
     read_csv,
     read_float_rows,
-    shift,
     write_csv,
     write_float_rows,
 )
@@ -62,46 +60,6 @@ class TestTrajectory:
         w = scalar(1, 2)
         with pytest.raises(ValueError):
             w.values[0, 0] = 5.0
-
-
-class TestCutShift:
-    def test_cut_prefix(self):
-        assert np.array_equal(cut(scalar(1, 2, 3, 4), 2).values.ravel(), [1, 2])
-
-    def test_cut_full_length_is_identity(self):
-        w = scalar(1, 2, 3, 4)
-        assert np.array_equal(cut(w, 4).values, w.values)
-
-    @pytest.mark.parametrize("L", [0, 5, -1])
-    def test_cut_range_errors(self, L):
-        with pytest.raises(ValueError):
-            cut(scalar(1, 2, 3, 4), L)
-
-    def test_shift_drops_prefix(self):
-        assert np.array_equal(shift(scalar(1, 2, 3, 4), 2).values.ravel(), [2, 3, 4])
-
-    def test_shift_by_one_is_identity(self):
-        w = scalar(1, 2, 3, 4)
-        assert np.array_equal(shift(w, 1).values, w.values)
-
-    @pytest.mark.parametrize("tau", [0, 5])
-    def test_shift_range_errors(self, tau):
-        with pytest.raises(ValueError):
-            shift(scalar(1, 2, 3, 4), tau)
-
-    @given(trajectories(), st.data())
-    def test_cut_composes(self, w, data):
-        L1 = data.draw(st.integers(min_value=1, max_value=w.T))
-        L2 = data.draw(st.integers(min_value=1, max_value=L1))
-        both = cut(cut(w, L1), L2)
-        assert np.array_equal(both.values, cut(w, L2).values)
-
-    @given(trajectories(), st.data())
-    def test_shift_composes(self, w, data):
-        a = data.draw(st.integers(min_value=1, max_value=w.T))
-        b = data.draw(st.integers(min_value=1, max_value=w.T - a + 1))
-        both = shift(shift(w, a), b)
-        assert np.array_equal(both.values, shift(w, a + b - 1).values)
 
 
 class TestHankel:

@@ -115,8 +115,12 @@ class TestWideMatrices:
                 r = int(np.count_nonzero(s > tol.tol_rel * s[0] * min(M.shape)))
                 B = orthonormal_basis(M)
                 assert tol.rank(M) == B.dim == r
-                direct = BehaviorBasis(rows, U[:, :r])
-                assert subspaces_equal(B, direct, 1e-10)[0]
+                # kept subspaces agree within rows times the perturbation
+                # bound eps sigma_1 / (sigma_r - sigma_{r+1}) of each case
+                gap = s[r - 1] - (s[r] if r < s.size else 0.0)
+                bound = rows * np.finfo(float).eps * s[0] / gap
+                sines = np.sin(principal_angles(B, BehaviorBasis(rows, U[:, :r])))
+                assert sines.max() <= bound, (sines.max(), bound)
                 assert np.abs(B.basis[list(zero_rows)]).max(initial=0.0) < 1e-10
 
     def test_rank_does_not_grow_with_repeated_windows(self, rng):
