@@ -11,11 +11,17 @@ A trajectory's samples are read-only, so a factorization of its Hankel
 matrix never goes stale: :func:`hankel_image` stores one with the
 trajectory, and every basis, rank and excitation test of the data route
 reads it, so a command factors each trajectory it reads once.
+
+Trajectory and controller CSVs are read by :func:`read_float_rows`: numpy's
+C reader parses a well-formed file, and a line-by-line reader, which gives
+the same array bit for bit, reads any other file and gives every error.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,6 +29,8 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleRankError, PartitionError
 from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, image_svd
+
+_LINE_BREAKS = re.compile(r"[\r\n]*")
 
 
 class HankelImage(NamedTuple):
@@ -215,7 +223,63 @@ def read_float_rows(path) -> np.ndarray:
     blank cells are skipped; ragged rows and non-numeric or non-finite (nan,
     inf) entries are rejected with their line number.  No rows give a
     (0, 0) array.
+
+    A well-formed file is parsed by numpy's C reader; any other file is
+    read line by line, and that reader alone gives every error.  Both give
+    the same array, bit for bit.
     """
+    values = _read_well_formed(path)
+    return _read_line_by_line(path) if values is None else values
+
+
+def _is_header(row: list[str]) -> bool:
+    return row[0].strip().lower().startswith("ch")
+
+
+def _read_well_formed(path) -> np.ndarray | None:
+    """The rows of a well-formed file, parsed by `np.loadtxt`; None for any other file.
+
+    The header is found as :func:`_read_line_by_line` finds it, in the
+    first row `csv.reader` gives with a non-blank cell.  numpy parses each
+    later cell with `float()`'s own parser (`PyOS_string_to_double`) but
+    takes no quotes, underscores, non-ASCII digits or lines of spaces, so
+    every cell it reads, `float()` reads to the same value.  A result is
+    kept only if it fits the header and is finite.  A file with more bytes
+    between two separators than `csv.field_size_limit()`, which
+    `csv.reader` rejects, and a header with no data after it, on which
+    `np.loadtxt` warns, are left to the line-by-line reader too.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    byte = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero((byte == ord(",")) | (byte == ord("\n")) | (byte == ord("\r")))
+    if np.diff(ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit() + 1:
+        return None
+    try:
+        text = raw.decode("utf-8")
+        lines = io.StringIO(text, newline="")
+        for row in csv.reader(lines):
+            if any(cell.strip() for cell in row):
+                break
+        else:
+            return None
+        width = None
+        if _is_header(row):
+            width = len(row)
+            if _LINE_BREAKS.fullmatch(text, lines.tell()):
+                return None
+        else:
+            lines.seek(0)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+    except (ValueError, csv.Error):
+        return None
+    if width not in (None, values.shape[1]) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _read_line_by_line(path) -> np.ndarray:
+    """:func:`read_float_rows` one `csv.reader` row and one `float()` at a time."""
     rows: list[list[float]] = []
     linenos: list[int] = []
     width: int | None = None
@@ -223,7 +287,7 @@ def read_float_rows(path) -> np.ndarray:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not any(cell.strip() for cell in row):
                 continue
-            if width is None and row[0].strip().lower().startswith("ch"):
+            if width is None and _is_header(row):
                 width = len(row)
                 continue
             try:

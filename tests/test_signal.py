@@ -1,12 +1,15 @@
 import csv
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canonctrl import signal
+from canonctrl.canonical import ControllerBasis, read_controller_csv, write_controller_csv
 from canonctrl.errors import DimensionError, InfeasibleRankError, PartitionError
 from canonctrl.signal import (
     Partition,
@@ -21,6 +24,7 @@ from canonctrl.signal import (
     write_csv,
     write_float_rows,
 )
+from canonctrl.subspace import orthonormal_basis
 
 
 def scalar(*vals):
@@ -286,11 +290,14 @@ class TestCsv:
         with pytest.raises(ValueError, match="no data rows"):
             read_csv(path)
 
-    @pytest.mark.parametrize("text", ["", "\n \n", "ch1,ch2\n"])
+    @pytest.mark.parametrize("text", ["", "\n \n", "ch1,ch2\n", " , \n", "ch1,ch2\r\n\r\n"])
     def test_float_rows_of_no_rows(self, tmp_path, text):
         path = tmp_path / "empty.csv"
         path.write_text(text)
-        assert read_float_rows(path).shape == (0, 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read_float_rows(path).shape == (0, 0)
+        assert caught == []
 
     def test_float_rows_mirror_writer(self, tmp_path, rng):
         values = rng.standard_normal((6, 4))
@@ -298,3 +305,149 @@ class TestCsv:
         with open(path, "w", newline="", encoding="utf-8") as f:
             write_float_rows(f, values)
         assert read_float_rows(path).tobytes() == values.tobytes()
+
+
+def read_outcome(read, path):
+    """What a reader gives for a file: the array's shape and bytes, or the error's type and message."""
+    try:
+        values = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return values.shape, values.tobytes()
+
+
+EXTREMES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+            1.7976931348623157e308, 0.1, -2.5e-310, 1.0 / 3.0]  # fmt: skip
+
+# name -> (file text, written as UTF-8; the rows it reads to, its error message, or a shape)
+CORPUS = {
+    "lf": ("ch1,ch2\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+    "crlf": ("ch1,ch2\r\n1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    "cr": ("ch1,ch2\r1,2\r3,4\r", [[1, 2], [3, 4]]),
+    "no final newline": ("ch1,ch2\n1,2\n3,4", [[1, 2], [3, 4]]),
+    "no header": ("1,2\n3,4\n", [[1, 2], [3, 4]]),
+    "blank line before header": ("\nch1,ch2\n1,2\n", [[1, 2]]),
+    "spaces before header": ("   \n\t\nch1,ch2\n1,2\n", [[1, 2]]),
+    "blank cells row": ("ch1,ch2\n1,2\n , \n3,4\n", [[1, 2], [3, 4]]),
+    "blank lines between rows": ("1,2\n\n\r\n3,4\n\n", [[1, 2], [3, 4]]),
+    "padded cells": ("ch1,ch2\n 1 ,\t2\n", [[1, 2]]),
+    "one column": ("ch1\n1\n2\n3\n", [[1], [2], [3]]),
+    "one row": ("1,2,3\n", [[1, 2, 3]]),
+    "exponents": ("ch1,ch2\n+1.5E+3,-2e-3\n1E5,+0.0\n", [[1500, -0.002], [1e5, 0]]),
+    "header case": ("CH1,Channel 2\n1,2\n", [[1, 2]]),
+    "quoted header comma": ('ch1,"a,b"\n1,2\n', [[1, 2]]),
+    "quoted header newline": ('ch1,"a\nb"\n1,2\n', [[1, 2]]),
+    "quoted cell": ('ch1,ch2\n"1.0",2\n', [[1, 2]]),
+    "underscore": ("1_0,2\n", [[10, 2]]),
+    "arabic-indic digit": ("\u0661,2\n", [[1, 2]]),
+    "ragged, no header": ("1,2\n3\n", "ragged row on line 2 (1 != 2)"),
+    "ragged after header": ("ch1,ch2\n1,2\n3\n", "ragged row on line 3 (1 != 2)"),
+    "wider than header": ("ch1,ch2\n1,2,3\n", "ragged row on line 2 (3 != 2)"),
+    "wider than quoted header": ('ch1,"a,b"\n1,2,3\n', "ragged row on line 2 (3 != 2)"),
+    "non-numeric": ("ch1,ch2\n1,2\nx,4\n", "non-numeric entry on line 3"),
+    "hash": ("ch1,ch2\n1,2\n#3,4\n", "non-numeric entry on line 3"),
+    "trailing comma": ("1,2,\n", "non-numeric entry on line 1"),
+    "byte order mark": ("\ufeffch1,ch2\n1,2\n", "non-numeric entry on line 1"),
+    "header mid-file": ("1,2\nch1,ch2\n3,4\n", "non-numeric entry on line 2"),
+    "line break in quotes": ('1,2\n"3\n",4\n', [[1, 2], [3, 4]]),
+    "nul in header": ("ch1,ch\x002\n1,2\n", [[1, 2]]),
+    "nul in a cell": ("1,2\n3,\x004\n", "non-numeric entry on line 2"),
+    "form feed inside a cell": ("1,2\x0c3\n", "non-numeric entry on line 1"),
+    "hex": ("0x10,2\n", "non-numeric entry on line 1"),
+    **{
+        f"{cell} on a crlf line": (
+            f"ch1,ch2\r\n1,2\r\n\r\n3,{cell}\r\n5,6\r\n",
+            "non-finite entry on line 4",
+        )
+        for cell in ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"]
+    },
+    "empty": ("", (0, 0)),
+    "blank only": ("\n \n\r\n , \n", (0, 0)),
+    "header only": ("ch1,ch2\n", (0, 0)),
+    "header and blank lines": ("ch1,ch2\r\n\r\n\n", (0, 0)),
+    "header and spaces": ("ch1,ch2\n  \n", (0, 0)),
+}
+
+
+class TestReaderAgreement:
+    """`read_float_rows` reads every file to what the line-by-line reader gives, bit for bit."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_corpus(self, tmp_path, name):
+        text, expected = CORPUS[name]
+        path = tmp_path / "rows.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = read_outcome(read_float_rows, path)
+        assert outcome == read_outcome(signal._read_line_by_line, path)
+        if isinstance(expected, str):
+            assert outcome == (ValueError, f"{path}: {expected}")
+        elif isinstance(expected, tuple):
+            assert outcome[0] == expected
+        else:
+            assert outcome == (np.shape(expected), np.array(expected, dtype=float).tobytes())
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"1,2\n\xff,3\n")
+        outcome = read_outcome(read_float_rows, path)
+        assert outcome == read_outcome(signal._read_line_by_line, path)
+        assert outcome[0] is UnicodeDecodeError
+
+    def test_field_size_limit(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("1,2\n1.00000000,2\n")  # a 10-character cell
+        limit = csv.field_size_limit(9)
+        try:
+            outcome = read_outcome(read_float_rows, path)
+            assert outcome == read_outcome(signal._read_line_by_line, path)
+            assert outcome == (csv.Error, "field larger than field limit (9)")
+            csv.field_size_limit(10)
+            assert read_float_rows(path).shape == (2, 2)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_extremes(self, tmp_path, rng):
+        values = rng.standard_normal((20_000, 10)) * 10.0 ** rng.integers(-320, 308, (20_000, 10))
+        values[:: 7] = EXTREMES
+        path = tmp_path / "extremes.csv"
+        write_csv(path, Trajectory(values))
+        back = read_float_rows(path)
+        assert back.tobytes() == values.tobytes()
+        assert back.tobytes() == signal._read_line_by_line(path).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["1", "-2.5", "+3e2", " 4 ", "", " ", "nan", "1_0", '"5"', "x", "ch1"]),
+                max_size=3,
+            ),
+            max_size=5,
+        ),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.booleans(),
+    )
+    def test_random_files(self, tmp_path_factory, rows, newline, header):
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        lines = (["ch1,ch2"] if header else []) + [",".join(row) for row in rows]
+        path.write_bytes(newline.join(lines).encode("utf-8"))
+        assert read_outcome(read_float_rows, path) == read_outcome(signal._read_line_by_line, path)
+
+    def test_written_files_take_the_c_reader(self, tmp_path, rng, monkeypatch):
+        """Files the package writes never reach the line-by-line reader."""
+
+        def refuse(path):
+            raise AssertionError(f"{path} was read line by line")
+
+        monkeypatch.setattr(signal, "_read_line_by_line", refuse)
+        values = rng.standard_normal((8000, 7))
+        values[:: 11] = EXTREMES[:7]
+        path = tmp_path / "plant.csv"
+        write_csv(path, Trajectory(values))
+        assert read_csv(path).values.tobytes() == values.tobytes()
+        ctrl = ControllerBasis(orthonormal_basis(rng.standard_normal((60, 5))), 3, 20)
+        path = tmp_path / "controller.csv"
+        write_controller_csv(path, ctrl)
+        assert read_float_rows(path).tobytes() == ctrl.basis.basis.tobytes()
+        back = read_controller_csv(path).basis.basis
+        assert back.tobytes() == orthonormal_basis(ctrl.basis.basis).basis.tobytes()
