@@ -163,7 +163,9 @@ def controller_basis(P_r: Projector, P_p: Projector, plan: PermutationPlan) -> C
     1 +- cos(theta) of P_r + P_p (Anderson-Duffin), so both branches make the
     formula's own rank decision, through `pinv_symmetric`, counting on the
     Gram they factor.  Q_p^T has orthonormal rows, so Q_r[c] M has the image
-    and singular values of X[c].  The formula is evaluated unconditionally:
+    and singular values of X[c].  K is assembled in place, and G is freed
+    before its Gram is factored, so the step holds the Gram and at most two
+    more arrays of its size.  The formula is evaluated unconditionally:
     whether the result implements the reference is decided by
     `verify_closed_loop`.
     """
@@ -172,12 +174,15 @@ def controller_basis(P_r: Projector, P_p: Projector, plan: PermutationPlan) -> C
     Q_r, Q_p = P_r.basis.basis, P_p.basis.basis
     r, p = Q_r.shape[1], Q_p.shape[1]
     if r + p <= plan.ambient_dim:
-        C = Q_r.T @ Q_p
-        K = np.block([[np.eye(r), C], [C.T, np.eye(p)]])
+        K = np.eye(r + p)
+        K[:r, r:] = Q_r.T @ Q_p
+        K[r:, :r] = K[:r, r:].T
         M = pinv_symmetric(K)[:r] @ K[:, r:]
     else:
         G = np.hstack([Q_r, Q_p])
-        M = Q_r.T @ pinv_symmetric(G @ G.T) @ Q_p
+        GGt = G @ G.T
+        del G
+        M = Q_r.T @ pinv_symmetric(GGt) @ Q_p
     # X is (half) a projector, so Q_r[c] M, with its singular values, is on the 0..1 scale
     return ControllerBasis(orthonormal_basis(Q_r[plan.c_rows] @ M, scale=1.0), plan.k, plan.L)
 

@@ -219,9 +219,10 @@ def write_csv(path, w: Trajectory) -> None:
 def read_float_rows(path) -> np.ndarray:
     """Rows of floats from a CSV, the mirror of :func:`write_float_rows`.
 
-    A `ch1,...,chq` header (first non-blank row) is optional and rows of
-    blank cells are skipped; ragged rows and non-numeric or non-finite (nan,
-    inf) entries are rejected with their line number.  No rows give a
+    A `ch1,...,chq` header (first non-blank row) is optional, a UTF-8
+    byte-order mark is skipped, and rows of blank cells are skipped; ragged
+    rows and non-numeric or non-finite (nan, inf) entries are rejected with
+    the number of the file line on which the row starts.  No rows give a
     (0, 0) array.
 
     A well-formed file is parsed by numpy's C reader; any other file is
@@ -256,7 +257,7 @@ def _read_well_formed(path) -> np.ndarray | None:
     if np.diff(ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit() + 1:
         return None
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
         lines = io.StringIO(text, newline="")
         for row in csv.reader(lines):
             if any(cell.strip() for cell in row):
@@ -279,12 +280,19 @@ def _read_well_formed(path) -> np.ndarray | None:
 
 
 def _read_line_by_line(path) -> np.ndarray:
-    """:func:`read_float_rows` one `csv.reader` row and one `float()` at a time."""
+    """:func:`read_float_rows` one `csv.reader` row and one `float()` at a time.
+
+    An error names the line of the file on which the offending row starts; a
+    row with a quoted line break spans more than one.
+    """
     rows: list[list[float]] = []
     linenos: list[int] = []
     width: int | None = None
-    with open(path, newline="", encoding="utf-8") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        reader = csv.reader(f)
+        start = 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not any(cell.strip() for cell in row):
                 continue
             if width is None and _is_header(row):

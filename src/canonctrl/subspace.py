@@ -14,6 +14,9 @@ square factor by a block-wise QR factorization of their transpose before
 the SVD, which then never sees the long dimension.  The QR holds one block
 of columns at a time, so its memory is bounded by rows x block, not by the
 column count; a matrix of at most one block takes a single QR.
+The pseudoinverse of a symmetric Gram (:func:`pinv_symmetric`) comes from
+its eigenvectors as a symmetric product, exactly symmetric, with at most
+two arrays of the Gram's size held beyond it.
 """
 
 from __future__ import annotations
@@ -206,17 +209,30 @@ def pinv_symmetric(S: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric matrix via eigendecomposition.
 
     Inverts the eigenpairs whose |eigenvalue| (a singular value) the package
-    rank rule keeps;
-    the result stays exactly symmetric, which a generic SVD pinv does not.
+    rank rule keeps.  An exactly symmetric S is factored as given; any other
+    is symmetrized first.  The kept eigenvectors, scaled once by
+    1/sqrt|eigenvalue|, form the result as Y Y^T (minus the same product of
+    the negative ones), symmetric products that are exactly symmetric, which
+    a generic SVD pinv is not.  For a semidefinite S (a Gram) it holds at
+    most two n x n arrays beyond S: the eigenvectors and Y, then Y and the
+    result.
     """
     S = np.asarray(S, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (S + S.T))  # the symmetrized copy dies with the call
+    if not np.array_equal(S, S.T):
+        S = 0.5 * (S + S.T)
+    w, V = np.linalg.eigh(S)
     order = np.argsort(-np.abs(w))
     keep = order[: DEFAULT_RANK_TOL.count(np.abs(w[order]), S.shape)]
-    w, V = w[keep], V[:, keep]  # one copy of the kept columns; the full V is freed
-    X = (V / w) @ V.T
-    X += X.T
-    X *= 0.5
+    w, Y = w[keep], V[:, keep]
+    del V
+    Y /= np.sqrt(np.abs(w))
+    positive = w > 0
+    if positive.all():
+        return Y @ Y.T
+    Yp, Yn = Y[:, positive], Y[:, ~positive]
+    del Y
+    X = Yp @ Yp.T
+    X -= Yn @ Yn.T
     return X
 
 

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,33 @@ class TestControllerBasis:
             if ctrl.dim:
                 assert principal_angles(ctrl.basis, dense)[0] < 1e-8, seed
         assert branches == {True, False}
+
+    def test_coefficient_gram_branch_memory(self, rng):
+        # long-horizon's shapes: q = k = 2, L = 120 (d = 480), a rank-5
+        # reference lifted to r = 5 + 240 columns and a rank-124 plant, so K
+        # is 369 x 369.  Beyond its inputs the step holds K and at most two
+        # more arrays of its size.
+        plan = PermutationPlan(2, 2, 120)
+        A = np.linalg.qr(rng.standard_normal((5, 5)))[0]  # a 5-state rotation
+        x, samples = rng.standard_normal(5), []
+        C = rng.standard_normal((2, 5))
+        for _ in range(400):
+            samples.append(C @ x)
+            x = A @ x
+        P_r = reference_lift_projector(Trajectory(np.array(samples)), 2, 120, plan)
+        shared = P_r.basis.basis @ rng.standard_normal((245, 4))
+        plant = np.hstack([shared, rng.standard_normal((480, 120))])
+        P_p = projector_onto(orthonormal_basis(plant))
+        assert (P_r.basis.dim, P_p.basis.dim) == (245, 124)
+        plan.c_rows  # cached before tracing
+        tracemalloc.start()
+        try:
+            ctrl = controller_basis(P_r, P_p, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctrl.dim == 4
+        assert peak <= 3.3 * 369**2 * 8, peak / (369**2 * 8)
 
     def test_two_routes_agree(self, static_setup):
         data, ref = static_setup

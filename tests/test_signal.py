@@ -347,9 +347,14 @@ CORPUS = {
     "non-numeric": ("ch1,ch2\n1,2\nx,4\n", "non-numeric entry on line 3"),
     "hash": ("ch1,ch2\n1,2\n#3,4\n", "non-numeric entry on line 3"),
     "trailing comma": ("1,2,\n", "non-numeric entry on line 1"),
-    "byte order mark": ("\ufeffch1,ch2\n1,2\n", "non-numeric entry on line 1"),
+    "byte order mark": ("\ufeffch1,ch2\n1,2\n", [[1, 2]]),
+    "byte order mark, no header": ("\ufeff1,2\n", [[1, 2]]),
     "header mid-file": ("1,2\nch1,ch2\n3,4\n", "non-numeric entry on line 2"),
     "line break in quotes": ('1,2\n"3\n",4\n', [[1, 2], [3, 4]]),
+    "non-numeric after a quoted line break": ('ch1,"a\nb"\n1,2\n3,x\n', "non-numeric entry on line 4"),
+    "ragged after a quoted line break": ('ch1,"a\nb"\n1,2\n3\n', "ragged row on line 4 (1 != 2)"),
+    "nan after a quoted line break": ('1,2\n"3\n",4\n5,nan\n', "non-finite entry on line 4"),
+    "non-numeric row with a quoted line break": ('1,2\n\n"x\n",4\n', "non-numeric entry on line 3"),
     "nul in header": ("ch1,ch\x002\n1,2\n", [[1, 2]]),
     "nul in a cell": ("1,2\n3,\x004\n", "non-numeric entry on line 2"),
     "form feed inside a cell": ("1,2\x0c3\n", "non-numeric entry on line 1"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -239,6 +241,33 @@ class TestPinv:
         X = pinv_symmetric(S)
         assert np.array_equal(X, X.T)
         assert np.allclose(X, pinv(S), atol=1e-10)
+
+    def test_symmetric_variant_of_a_gram_is_exactly_symmetric(self, rng):
+        G = rng.standard_normal((4, 6))
+        S = G.T @ G  # rank 4 of 6
+        X = pinv_symmetric(S)
+        assert np.array_equal(X, X.T)
+        assert np.allclose(X, pinv(S), atol=1e-10)
+
+    def test_symmetric_variant_symmetrizes_other_input(self, rng):
+        S = rng.standard_normal((6, 6))
+        S = S @ S.T + 1e-6 * rng.standard_normal((6, 6))
+        assert not np.array_equal(S, S.T)
+        assert np.array_equal(pinv_symmetric(S), pinv_symmetric(0.5 * (S + S.T)))
+
+    @pytest.mark.parametrize("rank", [369, 300])
+    def test_symmetric_variant_holds_two_square_arrays(self, rng, rank):
+        # a Gram the size of long-horizon's K: beyond S, the eigenvectors and
+        # their kept scaled columns, then those and the result
+        G = rng.standard_normal((rank, 369))
+        S = G.T @ G
+        tracemalloc.start()
+        try:
+            pinv_symmetric(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * S.nbytes, peak / S.nbytes
 
 
 def planted_section(rng, n_keep, n_zero, r, s):
