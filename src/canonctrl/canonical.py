@@ -300,11 +300,16 @@ def write_controller_csv(path, C: ControllerBasis) -> None:
 
 
 def read_controller_csv(path) -> ControllerBasis:
-    """Read back a controller basis written by `write_controller_csv`; no rows: 0-dim."""
+    """Read back a controller basis written by `write_controller_csv`; no rows: 0-dim.
+
+    The sidecar's `k` and `L` must be JSON integers (not true/false).
+    """
     path = Path(path)
     with open(path.with_suffix(".json"), encoding="utf-8") as f:
         meta = json.load(f)
-    k, L = int(meta["k"]), int(meta["L"])
+    k, L = meta["k"], meta["L"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (k, L)):
+        raise ValueError(f"{path.with_suffix('.json')}: k and L must be integers, got {k!r}, {L!r}")
     matrix = read_float_rows(path)
     if matrix.size == 0:
         matrix = np.zeros((k * L, 0))

@@ -30,28 +30,41 @@ from .implementability import DataBundle, InvariantBounds, check_data
 from .signal import Partition
 
 
-def _parse_picks(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(tok) for tok in str(value).split(",") if tok.strip())
+def _parse_int(value, name: str) -> int:
+    """An integer option: a JSON integer (not true/false) or a string the flag takes."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"option {name!r} takes integers, got {value!r}")
 
 
-def _parse_bound_pair(value) -> tuple[int, int]:
+def _parse_picks(value, name: str) -> tuple[int, ...]:
+    """A comma-list option: a JSON integer, a list of them, or a string like '1,2'."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    elif not isinstance(value, list):
+        value = [value]
+    elif any(isinstance(v, str) for v in value):
+        raise ValueError(f"option {name!r} takes integers, got {value!r}")
+    return tuple(_parse_int(v, name) for v in value)
+
+
+def _parse_bound_pair(value, name: str) -> tuple[int, int]:
     """One integer applies to both plant and reference; 'a,b' splits them."""
-    if isinstance(value, int):
-        return value, value
-    if isinstance(value, (list, tuple)):
-        vals = [int(v) for v in value]
-    else:
-        vals = [int(tok) for tok in str(value).split(",") if tok.strip()]
+    vals = _parse_picks(value, name)
     if len(vals) == 1:
         return vals[0], vals[0]
     if len(vals) == 2:
-        return vals[0], vals[1]
-    raise ValueError(f"expected one or two integers, got {value!r}")
+        return vals
+    raise ValueError(f"option {name!r} takes one or two integers, got {value!r}")
 
 
-def _opt(args, name: str, default=None, required: bool = False):
+def _opt(args, name: str, parse=None, default=None, required: bool = False):
+    """The option's flag value, else its --config value, read by `parse`; else `default`."""
     value = getattr(args, name, None)
     if value is None and args.config_data:
         value = args.config_data.get(name)
@@ -59,7 +72,7 @@ def _opt(args, name: str, default=None, required: bool = False):
         if required:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
         return default
-    return value
+    return value if parse is None else parse(value, name)
 
 
 def _load_config(args) -> None:
@@ -85,10 +98,10 @@ def _print_json(payload: dict) -> None:
 
 def cmd_simulate(args) -> int:
     model = lti_core.read_model_json(_opt(args, "model", required=True))
-    T = int(_opt(args, "T", required=True))
+    T = _opt(args, "T", _parse_int, required=True)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    seed = int(_opt(args, "seed", default=0))
+    seed = _opt(args, "seed", _parse_int, default=0)
     out = Path(_opt(args, "out", required=True))
     traj = harness.plant_data(model, T, seed)
     signal.write_csv(out, traj)
@@ -99,20 +112,20 @@ def cmd_simulate(args) -> int:
 def _bundle_from_args(args) -> DataBundle:
     plant = signal.read_csv(_opt(args, "plant", required=True))
     ref = signal.read_csv(_opt(args, "ref", required=True))
-    picks_w = _parse_picks(_opt(args, "picks_w", required=True))
-    picks_c = _parse_picks(_opt(args, "picks_c", required=True))
+    picks_w = _opt(args, "picks_w", _parse_picks, required=True)
+    picks_c = _opt(args, "picks_c", _parse_picks, required=True)
     partition = Partition(plant.q, picks_w, picks_c)
-    L = int(_opt(args, "L", required=True))
-    lag_bound = int(_opt(args, "lag_bound", required=True))
-    m_plant, m_ref = _parse_bound_pair(_opt(args, "m_bound", required=True))
-    n_plant, n_ref = _parse_bound_pair(_opt(args, "n_bound", required=True))
+    L = _opt(args, "L", _parse_int, required=True)
+    lag_bound = _opt(args, "lag_bound", _parse_int, required=True)
+    m_plant, m_ref = _opt(args, "m_bound", _parse_bound_pair, required=True)
+    n_plant, n_ref = _opt(args, "n_bound", _parse_bound_pair, required=True)
     bounds = InvariantBounds(m_plant, n_plant, m_ref, n_ref, lag_bound)
     return DataBundle(plant, ref, L, partition, bounds)
 
 
 def cmd_check(args) -> int:
     verdict = check_data(_bundle_from_args(args))
-    print(verdict.to_json())
+    _print_json(verdict.to_dict())
     return 0 if verdict.implementable else 1
 
 
@@ -134,13 +147,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_proptest(args) -> int:
-    seeds = int(_opt(args, "seeds", required=True))
-    base_seed = int(_opt(args, "seed", default=0))
-    cfg = harness.HarnessConfig(
-        q_w_max=int(_opt(args, "q_w_max", default=2)),
-        q_c_max=int(_opt(args, "q_c_max", default=2)),
-        n_max=int(_opt(args, "n_max", default=3)),
-    )
+    seeds = _opt(args, "seeds", _parse_int, required=True)
+    base_seed = _opt(args, "seed", _parse_int, default=0)
+    bounds = {name: _opt(args, name, _parse_int) for name in ("q_w_max", "q_c_max", "n_max")}
+    cfg = harness.HarnessConfig(**{k: v for k, v in bounds.items() if v is not None})
     report = harness.run_batch(seeds, base_seed, cfg)
     report["base_seed"] = base_seed
     _print_json(report)

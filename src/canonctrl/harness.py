@@ -67,8 +67,9 @@ def decaying_reference(rate: float = 0.5) -> StateSpaceModel:
     )
 
 
-def decaying_reference_data(T: int, rate: float = 0.5, r1: float = 1.0) -> Trajectory:
-    return Trajectory((r1 * rate ** np.arange(T)).reshape(-1, 1))
+def decaying_reference_data(T: int) -> Trajectory:
+    """T samples of :func:`decaying_reference` from r(1) = 1: r(t) = 0.5^(t-1)."""
+    return Trajectory((0.5 ** np.arange(T)).reshape(-1, 1))
 
 
 def _random_run(model: StateSpaceModel, T: int, rng: np.random.Generator) -> Trajectory:

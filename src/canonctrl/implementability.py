@@ -22,7 +22,6 @@ P_w the span of its w rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +118,6 @@ class ImplementabilityVerdict:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def hidden_basis(plant_traj: Trajectory, partition: Partition, L: int) -> BehaviorBasis:
     """Data representation of the hidden behavior over horizon L.
@@ -166,7 +162,7 @@ def _w_rows_image(U: BehaviorBasis, picks_w: tuple[int, ...], q: int, L: int) ->
     """Span of the picks_w rows of U, an orthonormal basis of q-channel windows.
 
     Rows of an orthonormal U live on the 0..1 scale, so the cutoff is
-    anchored at 1, as in :func:`~canonctrl.subspace.zero_section`.
+    anchored at 1, as in :func:`~canonctrl.subspace.section`.
     """
     return orthonormal_basis(U.basis[channel_rows(picks_w, q, L)], scale=1.0)
 

@@ -8,7 +8,8 @@ never through kernel representations.  A simulation steps only the state
 sequentially; the input term `B u` and the outputs are whole-array products.
 :func:`hidden_restricted_basis` reads the hidden behavior off any orthonormal
 basis of a joint restricted behavior -- the oracle's window map image or the
-data route's Hankel image -- so both routes share one section function.
+data route's Hankel image -- so both routes cut it with the one
+:func:`~canonctrl.subspace.section`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, GenerationError, MinimalityError
 from .signal import Partition, Trajectory, channel_rows
-from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, zero_section
+from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, section
 
 
 @dataclass(frozen=True)
@@ -250,18 +251,17 @@ def hidden_restricted_basis(U: BehaviorBasis, wc_partition: Partition, L: int) -
     U is an orthonormal basis of the plant's joint restricted behavior over
     horizon L (ambient |w, c| L): the image of the oracle's window map or of
     the data Hankel matrix.  Returns the w rows of its vectors that vanish on
-    the c rows (ambient |w| L), by :func:`~canonctrl.subspace.zero_section`.
+    the c rows (ambient |w| L).  U a vanishes on the c rows exactly when a is
+    in ker U_c, so this is the :func:`~canonctrl.subspace.section` of U_w by U_c.
     """
     wc_partition.require_control_split()
     if U.ambient_dim != wc_partition.total * L:
         raise DimensionError(
             f"basis ambient {U.ambient_dim} != {wc_partition.total} channels x L={L}"
         )
-    return zero_section(
-        U.basis,
-        channel_rows(wc_partition.picks_w, wc_partition.total, L),
-        channel_rows(wc_partition.picks_c, wc_partition.total, L),
-    )
+    w_rows = channel_rows(wc_partition.picks_w, wc_partition.total, L)
+    c_rows = channel_rows(wc_partition.picks_c, wc_partition.total, L)
+    return section(U.basis[w_rows], U.basis[c_rows])
 
 
 def projected_invariants(model: StateSpaceModel, picks: tuple[int, ...]) -> IntegerInvariants:

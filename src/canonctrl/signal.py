@@ -71,12 +71,6 @@ class Trajectory:
     def q(self) -> int:
         return self.values.shape[1]
 
-    def sample(self, t: int) -> np.ndarray:
-        """The q-vector at 1-based time t."""
-        if not 1 <= t <= self.T:
-            raise ValueError(f"t={t} outside [1, {self.T}]")
-        return self.values[t - 1].copy()
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -88,7 +82,9 @@ class Partition:
     place its inputs (picks_w slot) and outputs (picks_c slot) in the full
     variable vector, and there a block may be empty (autonomous or free
     systems).  Control splits must have both blocks nonempty; operations
-    that rely on that check it via `require_control_split`.
+    that rely on that check it via `require_control_split`.  Channels are
+    Python or numpy integers: a float (int() would truncate 2.7) or a bool
+    raises PartitionError.
     """
 
     total: int
@@ -96,8 +92,11 @@ class Partition:
     picks_c: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "picks_w", tuple(int(i) for i in self.picks_w))
-        object.__setattr__(self, "picks_c", tuple(int(i) for i in self.picks_c))
+        for name in ("picks_w", "picks_c"):
+            picks = tuple(getattr(self, name))
+            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in picks):
+                raise PartitionError(f"{name} must hold integer channels, got {picks}")
+            object.__setattr__(self, name, tuple(int(i) for i in picks))
         all_picks = self.picks_w + self.picks_c
         if sorted(all_picks) != list(range(1, self.total + 1)):
             raise PartitionError(

@@ -5,8 +5,9 @@ Subspaces of R^d are carried around as orthonormal-column matrices
 one and forms its d x d matrix only on request (no step of the package
 asks; the paper's controller formula works on the bases too).  A section
 of a basis (:func:`section`) is the one primitive for "the vectors of a
-subspace that satisfy a constraint": the hidden behavior (:func:`zero_section`) and the
-intersection (:func:`intersect`) are both sections.  Everything is
+subspace that satisfy a constraint": the hidden behavior (the section of
+a joint basis's w rows by its c rows) and the intersection
+(:func:`intersect`) are both sections.  Everything is
 SVD-based; every rank decision reads the one rule :data:`DEFAULT_RANK_TOL`,
 so the whole package cuts singular values the same way.  Wide matrices
 (data Hankel matrices have far more columns than rows) are reduced to a
@@ -41,14 +42,11 @@ class RankTolerance:
     The cutoff is ``tol_rel * anchor * min(rows, cols)``; the anchor is
     sigma_max, or `scale` when that is larger.  More columns of a Hankel
     matrix are more windows of the same behavior, so a factor that grew with
-    the long dimension would drop genuine directions as T grows.
+    the long dimension would drop genuine directions as T grows.  The rule
+    takes no argument: `tol_rel` is a class constant, not a dataclass field.
     """
 
-    tol_rel: float = 1e-10
-
-    def __post_init__(self):
-        if not self.tol_rel > 0:
-            raise ValueError(f"tol_rel must be positive, got {self.tol_rel}")
+    tol_rel = 1e-10
 
     def count(self, s: np.ndarray, shape: tuple, scale: float | None = None) -> int:
         """The number kept of the nonincreasing singular values s of a `shape` matrix."""
@@ -196,15 +194,6 @@ def section(keep: np.ndarray, constraint: np.ndarray) -> BehaviorBasis:
     return orthonormal_basis(keep @ annihilator, scale=1.0)
 
 
-def zero_section(U: np.ndarray, keep_rows: np.ndarray, zero_rows: np.ndarray) -> BehaviorBasis:
-    """The keep_rows of the vectors in Image U that vanish on zero_rows.
-
-    U has orthonormal columns.  U a vanishes on zero_rows exactly when a is
-    in ker U_z, so this is the :func:`section` of U_k by U_z.
-    """
-    return section(U[keep_rows], U[zero_rows])
-
-
 def pinv_symmetric(S: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric matrix via eigendecomposition.
 
@@ -266,15 +255,11 @@ def intersect(PV: Projector, PW: Projector) -> Projector:
     return Projector(inter)
 
 
-def is_subspace_of(
-    Bsub: BehaviorBasis,
-    Bsup: BehaviorBasis,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-) -> tuple[bool, float]:
+def is_subspace_of(Bsub: BehaviorBasis, Bsup: BehaviorBasis) -> tuple[bool, float]:
     """Inclusion test Image(Bsub) ⊆ Image(Bsup) with residual diagnostics.
 
     The residual is ||(I - P_sup) Q_sub||_F; inclusion holds when it stays
-    below tol * (1 + ||Q_sub||_F).
+    below DEFAULT_RESIDUAL_TOL * (1 + ||Q_sub||_F), a fixed rule.
     """
     if Bsub.ambient_dim != Bsup.ambient_dim:
         raise DimensionError(
@@ -285,7 +270,7 @@ def is_subspace_of(
         return True, 0.0
     Qs = Bsup.basis
     residual = float(np.linalg.norm(Q - Qs @ (Qs.T @ Q)))
-    return residual <= tol * (1.0 + float(np.linalg.norm(Q))), residual
+    return residual <= DEFAULT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(Q))), residual
 
 
 def principal_angles(B1: BehaviorBasis, B2: BehaviorBasis) -> np.ndarray:
@@ -326,7 +311,8 @@ def subspaces_equal(
     """Equality of subspaces: same dimension and max principal angle < tol.
 
     Returns the max angle for diagnostics (0 for two zero subspaces,
-    pi/2 when the dimensions differ).
+    pi/2 when the dimensions differ).  `angle_tol` stays a parameter only
+    because the acceptance battery passes its own tolerance positionally.
     """
     if B1.dim != B2.dim:
         return False, float(np.pi / 2)

@@ -558,6 +558,18 @@ class TestControllerExport:
         with pytest.raises(ValueError, match=message):
             read_controller_csv(path)
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [{"k": 1.9, "L": 2}, {"k": True, "L": 2}, {"k": 1, "L": 2.0}, {"k": 1, "L": "2"}],
+    )
+    def test_non_integer_sidecar_rejected(self, tmp_path, sidecar):
+        # int() would read k = 1.9 and k = true as k = 1
+        path = tmp_path / "controller.csv"
+        path.write_text("1.0\n0.0\n")
+        (tmp_path / "controller.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="k and L must be integers"):
+            read_controller_csv(path)
+
     def test_empty_file_is_zero_dim_controller(self, tmp_path):
         ctrl = ControllerBasis(orthonormal_basis(np.zeros((4, 0))), 2, 2)
         path = tmp_path / "controller.csv"

@@ -215,6 +215,70 @@ class TestMalformedInputs:
         extra = ["--out", str(tmp_path / "controller.csv")] if command == "synth" else []
         self.assert_input_error([command, "--config", str(cfg_path), *extra], capsys)
 
+    # each value would run truncated: L = 2, L = 1, lag 0, channel 1, bounds (0, 1)
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("L", 2.9),
+            ("L", True),
+            ("L", "2.5"),
+            ("lag_bound", False),
+            ("picks_w", [1.7]),
+            ("picks_w", ["1"]),
+            ("picks_c", 2.0),
+            ("m_bound", [1, 0.0]),
+            ("n_bound", [0.0, 1.9]),
+            ("n_bound", "0,1.9"),
+        ],
+    )
+    def test_non_integer_config_number(self, tmp_path, fixtures, capsys, key, value):
+        cfg_path = write_static_config(tmp_path, fixtures, **{key: value})
+        code, stdout, err = run_cli(["check", "--config", str(cfg_path)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and repr(key) in err
+
+    def test_non_integer_flag_bound(self, fixtures, capsys):
+        args = check_args(fixtures, "static_data", 0, 0)
+        args[args.index("--m-bound") + 1] = "1.9,0"
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and "'m_bound'" in err
+
+    def test_integer_config_spellings_match_flags(self, tmp_path, fixtures, capsys):
+        # JSON integers, lists of them and strings the flags take read alike
+        code, expected, _ = run_cli(check_args(fixtures, "static_data", 0, 0), capsys)
+        assert code == 0
+        for overrides in (
+            {},
+            {"L": "2", "lag_bound": "0", "picks_w": 1, "picks_c": [2]},
+            {"m_bound": [1, 0], "n_bound": [0, 1]},
+        ):
+            cfg_path = write_static_config(tmp_path, fixtures, **overrides)
+            code, stdout, _ = run_cli(["check", "--config", str(cfg_path)], capsys)
+            assert code == 0 and stdout == expected, overrides
+
+    def test_non_integer_proptest_seeds_in_config(self, tmp_path, capsys):
+        # {"seeds": 2.7} would run 2 cases
+        cfg_path = tmp_path / "prop.json"
+        cfg_path.write_text(json.dumps({"seeds": 2.7}))
+        code, stdout, err = run_cli(["proptest", "--config", str(cfg_path)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and "'seeds'" in err
+
+    @pytest.mark.parametrize(
+        "key, value", [("picks_w", [2.7]), ("picks_c", [1.9]), ("picks_c", [True])]
+    )
+    def test_non_integer_model_picks(self, tmp_path, fixtures, capsys, key, value):
+        payload = json.loads(fixtures["static_model"].read_text())
+        payload[key] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "x.csv"
+        self.assert_input_error(
+            ["simulate", "--model", str(model), "--T", "5", "--out", str(out)], capsys
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "payload",
         [

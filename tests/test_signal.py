@@ -49,7 +49,6 @@ class TestTrajectory:
     def test_shape_and_accessors(self):
         w = Trajectory(np.array([[1.0, 10.0], [2.0, 20.0]]))
         assert w.T == 2 and w.q == 2
-        assert np.array_equal(w.sample(2), [2.0, 20.0])
 
     def test_one_dimensional_input_becomes_single_channel(self):
         assert scalar(1, 2, 3).q == 1
@@ -195,6 +194,20 @@ class TestPartition:
     def test_invalid_split(self, picks_w, picks_c):
         with pytest.raises(PartitionError):
             Partition(3, picks_w, picks_c)
+
+    @pytest.mark.parametrize(
+        "picks_w, picks_c",
+        [([2.7], [1]), ([2], [1.9]), ([2.0], [1]), ([True], [2]), ([np.float64(2)], [1])],
+    )
+    def test_non_integer_channels_rejected(self, picks_w, picks_c):
+        # int() would read 2.7 as channel 2 and True as channel 1
+        with pytest.raises(PartitionError, match="integer channels"):
+            Partition(2, picks_w, picks_c)
+
+    def test_numpy_integer_channels_accepted(self):
+        part = Partition(3, np.array([3, 1]), np.array([2], dtype=np.int32))
+        assert part.picks_w == (3, 1) and part.picks_c == (2,)
+        assert all(type(i) is int for i in part.picks_w + part.picks_c)
 
     def test_empty_block_allowed_but_not_as_control_split(self):
         part = Partition(2, (), (1, 2))

@@ -23,8 +23,8 @@ from canonctrl.subspace import (
     pinv_symmetric,
     principal_angles,
     projector_onto,
+    section,
     subspaces_equal,
-    zero_section,
 )
 
 from conftest import kernel_method_intersection, null_space
@@ -46,11 +46,19 @@ class TestRankTolerance:
     def test_full_rank(self):
         assert RankTolerance().rank(np.eye(5)) == 5
 
-    def test_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RankTolerance(0.0)
-        with pytest.raises(ValueError):
-            RankTolerance(-1e-10)
+    def test_stale_knobs_are_type_errors(self):
+        # one rank rule, one inclusion rule, one reference fixture: a value
+        # passed where a knob once went fails at the call
+        a = span([1.0, 0.0])
+        calls = (
+            lambda: RankTolerance(1e-3),
+            lambda: is_subspace_of(a, a, 1.0),
+            lambda: harness.decaying_reference_data(40, 0.3),
+        )
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        assert DEFAULT_RANK_TOL.tol_rel == RankTolerance.tol_rel == 1e-10
 
 
 class TestOrthonormalBasis:
@@ -283,6 +291,8 @@ def planted_section(rng, n_keep, n_zero, r, s):
 
 
 class TestZeroSection:
+    """The section of a basis's keep rows by its zero rows, as the hidden behavior cuts it."""
+
     @pytest.mark.parametrize(
         "n_keep, n_zero, r, s",
         [(6, 4, 5, 2), (6, 4, 4, 0), (3, 5, 3, 1), (8, 2, 5, 3), (4, 3, 4, 4)],
@@ -291,28 +301,27 @@ class TestZeroSection:
         U, keep, zero = planted_section(rng, n_keep, n_zero, r, s)
         E = np.eye(n_keep + n_zero)[:, keep]  # the subspace {zero rows = 0}
         oracle = orthonormal_basis(kernel_method_intersection(U, E).basis[keep])
-        section = zero_section(U, keep, zero)
-        assert section.ambient_dim == n_keep
-        assert section.dim == oracle.dim == s
-        assert subspaces_equal(section, oracle)[0]
+        cut = section(U[keep], U[zero])
+        assert cut.ambient_dim == n_keep
+        assert cut.dim == oracle.dim == s
+        assert subspaces_equal(cut, oracle)[0]
 
     def test_matches_null_space_of_zero_rows(self, rng):
         for _ in range(20):
             U, keep, zero = planted_section(rng, 7, 5, 6, int(rng.integers(1, 5)))
             oracle = orthonormal_basis(U[keep] @ null_space(U[zero]))
-            assert subspaces_equal(zero_section(U, keep, zero), oracle)[0]
+            assert subspaces_equal(section(U[keep], U[zero]), oracle)[0]
 
     def test_identically_zero_block_keeps_everything(self, rng):
         U = np.zeros((9, 4))
         U[:6] = np.linalg.qr(rng.standard_normal((6, 4)))[0]
-        section = zero_section(U, np.arange(6), np.arange(6, 9))
-        assert subspaces_equal(section, orthonormal_basis(U[:6]))[0]
+        assert subspaces_equal(section(U[:6], U[6:]), orthonormal_basis(U[:6]))[0]
 
     def test_rounding_level_block_counts_as_zero(self, rng):
         U = np.zeros((9, 4))
         U[:6] = np.linalg.qr(rng.standard_normal((6, 4)))[0]
         U[6:] = 1e-15 * rng.standard_normal((3, 4))
-        assert zero_section(U, np.arange(6), np.arange(6, 9)).dim == 4
+        assert section(U[:6], U[6:]).dim == 4
 
 
 class TestProjector:
