@@ -1,86 +1,6 @@
-"""Data-driven finite-horizon behaviors, implementability, and controller synthesis."""
+"""Data-driven finite-horizon behaviors, implementability, and controller synthesis.
 
-from .canonical import (
-    ClosedLoopReport,
-    ControllerBasis,
-    PermutationPlan,
-    Synthesis,
-    controller_basis,
-    plant_projector,
-    reference_lift_projector,
-    synthesize,
-    verify_closed_loop,
-)
-from .implementability import (
-    DataBundle,
-    ImplementabilityVerdict,
-    InvariantBounds,
-    check_data,
-    check_model,
-    hidden_basis,
-    reference_basis,
-    uncontrolled_basis,
-)
-from .lti_core import (
-    IntegerInvariants,
-    StateSpaceModel,
-    invariants_of,
-    random_minimal_model,
-    restricted_behavior_basis,
-    simulate,
-)
-from .signal import Partition, Trajectory, hankel, is_gpe
-from .subspace import (
-    BehaviorBasis,
-    Projector,
-    RankTolerance,
-    intersect,
-    is_subspace_of,
-    orthonormal_basis,
-    pinv,
-    principal_angles,
-    projector_onto,
-    subspaces_equal,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BehaviorBasis",
-    "ClosedLoopReport",
-    "ControllerBasis",
-    "DataBundle",
-    "ImplementabilityVerdict",
-    "IntegerInvariants",
-    "InvariantBounds",
-    "Partition",
-    "PermutationPlan",
-    "Projector",
-    "RankTolerance",
-    "StateSpaceModel",
-    "Synthesis",
-    "Trajectory",
-    "check_data",
-    "check_model",
-    "controller_basis",
-    "hankel",
-    "hidden_basis",
-    "intersect",
-    "invariants_of",
-    "is_gpe",
-    "is_subspace_of",
-    "orthonormal_basis",
-    "pinv",
-    "plant_projector",
-    "principal_angles",
-    "projector_onto",
-    "random_minimal_model",
-    "reference_basis",
-    "reference_lift_projector",
-    "restricted_behavior_basis",
-    "simulate",
-    "subspaces_equal",
-    "synthesize",
-    "uncontrolled_basis",
-    "verify_closed_loop",
-]
+The package top level binds no names: import the modules, as in
+``from canonctrl import implementability, signal``.  The version lives in
+``pyproject.toml``.
+"""

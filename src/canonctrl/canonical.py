@@ -80,7 +80,7 @@ class PermutationPlan:
 
     @cached_property
     def perm(self) -> np.ndarray:
-        perm = np.empty(self.ambient_dim, dtype=int)
+        perm = np.empty(self.ambient_dim, dtype=np.intp)
         perm[self.w_rows] = np.arange(self.q * self.L)
         perm[self.c_rows] = self.q * self.L + np.arange(self.k * self.L)
         return perm

@@ -5,6 +5,10 @@ Subcommands: `simulate` (model JSON -> trajectory CSV), `check`
 controller basis + closed-loop verification), `proptest` (seeded batch of
 randomized cross-checks).  JSON goes to stdout, diagnostics to stderr.
 
+Each option has one parser, whether its value is a flag's string or a
+`--config` value: integers go through `int()`, and the four path options
+take strings only.  A rejected value is an input error naming the option.
+
 `check` and `synth` take no tolerance: every inclusion is decided on
 :data:`~canonctrl.subspace.DEFAULT_RESIDUAL_TOL` and the closed-loop
 equality on :data:`~canonctrl.subspace.DEFAULT_ANGLE_TOL`, as every rank
@@ -30,8 +34,15 @@ from .implementability import DataBundle, InvariantBounds, check_data
 from .signal import Partition
 
 
+def _parse_path(value, name: str) -> str:
+    """A path option: a string (a JSON number would be opened as a file descriptor)."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"option {name!r} takes a path string, got {value!r}")
+
+
 def _parse_int(value, name: str) -> int:
-    """An integer option: a JSON integer (not true/false) or a string the flag takes."""
+    """An integer option: a flag's string or a JSON integer (not true/false)."""
     if isinstance(value, str):
         try:
             return int(value)
@@ -63,7 +74,7 @@ def _parse_bound_pair(value, name: str) -> tuple[int, int]:
     raise ValueError(f"option {name!r} takes one or two integers, got {value!r}")
 
 
-def _opt(args, name: str, parse=None, default=None, required: bool = False):
+def _opt(args, name: str, parse, default=None, required: bool = False):
     """The option's flag value, else its --config value, read by `parse`; else `default`."""
     value = getattr(args, name, None)
     if value is None and args.config_data:
@@ -72,7 +83,7 @@ def _opt(args, name: str, parse=None, default=None, required: bool = False):
         if required:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
         return default
-    return value if parse is None else parse(value, name)
+    return parse(value, name)
 
 
 def _load_config(args) -> None:
@@ -97,12 +108,12 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    model = lti_core.read_model_json(_opt(args, "model", required=True))
+    model = lti_core.read_model_json(_opt(args, "model", _parse_path, required=True))
     T = _opt(args, "T", _parse_int, required=True)
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     seed = _opt(args, "seed", _parse_int, default=0)
-    out = Path(_opt(args, "out", required=True))
+    out = Path(_opt(args, "out", _parse_path, required=True))
     traj = harness.plant_data(model, T, seed)
     signal.write_csv(out, traj)
     _print_json({"written": str(out), "T": traj.T, "channels": traj.q, "seed": seed})
@@ -110,8 +121,8 @@ def cmd_simulate(args) -> int:
 
 
 def _bundle_from_args(args) -> DataBundle:
-    plant = signal.read_csv(_opt(args, "plant", required=True))
-    ref = signal.read_csv(_opt(args, "ref", required=True))
+    plant = signal.read_csv(_opt(args, "plant", _parse_path, required=True))
+    ref = signal.read_csv(_opt(args, "ref", _parse_path, required=True))
     picks_w = _opt(args, "picks_w", _parse_picks, required=True)
     picks_c = _opt(args, "picks_c", _parse_picks, required=True)
     partition = Partition(plant.q, picks_w, picks_c)
@@ -131,7 +142,7 @@ def cmd_check(args) -> int:
 
 def cmd_synth(args) -> int:
     bundle = _bundle_from_args(args)
-    out = Path(_opt(args, "out", required=True))
+    out = Path(_opt(args, "out", _parse_path, required=True))
     verdict = check_data(bundle)
     syn = canonical.synthesize(bundle)
     ctrl = syn.controller
@@ -169,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="simulate a model JSON to a trajectory CSV")
     p_sim.add_argument("--model", help="model JSON path")
-    p_sim.add_argument("--T", type=int, help="trajectory length")
-    p_sim.add_argument("--seed", type=int, help="seed for input and initial state")
+    p_sim.add_argument("--T", help="trajectory length")
+    p_sim.add_argument("--seed", help="seed for input and initial state")
     p_sim.add_argument("--out", help="output CSV path")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
@@ -180,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ref", help="reference trajectory CSV")
         p.add_argument("--picks-w", dest="picks_w", help="1-based to-be-controlled channels, e.g. 1,2")
         p.add_argument("--picks-c", dest="picks_c", help="1-based control channels, e.g. 3")
-        p.add_argument("--L", type=int, help="horizon")
-        p.add_argument("--lag-bound", dest="lag_bound", type=int, help="bound on the largest lag")
+        p.add_argument("--L", help="horizon")
+        p.add_argument("--lag-bound", dest="lag_bound", help="bound on the largest lag")
         p.add_argument("--m-bound", dest="m_bound", help="input-count bound(s): 'm' or 'm_plant,m_ref'")
         p.add_argument("--n-bound", dest="n_bound", help="order bound(s): 'n' or 'n_plant,n_ref'")
         add_common(p)
@@ -196,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_prop = sub.add_parser("proptest", help="seeded batch of randomized cross-checks")
-    p_prop.add_argument("--seeds", type=int, help="number of cases")
-    p_prop.add_argument("--seed", type=int, help="base seed (cases use base..base+seeds-1)")
-    p_prop.add_argument("--q-w-max", dest="q_w_max", type=int, help="max to-be-controlled channels")
-    p_prop.add_argument("--q-c-max", dest="q_c_max", type=int, help="max control channels")
-    p_prop.add_argument("--n-max", dest="n_max", type=int, help="max plant order")
+    p_prop.add_argument("--seeds", help="number of cases")
+    p_prop.add_argument("--seed", help="base seed (cases use base..base+seeds-1)")
+    p_prop.add_argument("--q-w-max", dest="q_w_max", help="max to-be-controlled channels")
+    p_prop.add_argument("--q-c-max", dest="q_c_max", help="max control channels")
+    p_prop.add_argument("--n-max", dest="n_max", help="max plant order")
     add_common(p_prop)
     p_prop.set_defaults(func=cmd_proptest)
     return parser

@@ -288,8 +288,6 @@ class Case:
 class CaseResult:
     seed: int
     kind: str
-    implementable_data: bool
-    implementable_model: bool
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -346,7 +344,7 @@ def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResul
             failures.append("certificate_residuals")
     if vm.implementable and vd.implementable:
         failures.extend(_synthesis_checks(bundle))
-    return CaseResult(case.seed, case.kind, vd.implementable, vm.implementable, failures)
+    return CaseResult(case.seed, case.kind, failures)
 
 
 def _synthesis_checks(bundle: DataBundle) -> list[str]:
@@ -383,9 +381,7 @@ def run_batch(
             case = build_case(seed, kind, cfg)
             results.append(evaluate_case(case, cfg))
         except Exception as exc:  # recorded, not raised: seeds stay replayable
-            results.append(
-                CaseResult(seed, kind, False, False, [f"exception: {exc}"])
-            )
+            results.append(CaseResult(seed, kind, [f"exception: {exc}"]))
     failures = [
         {"seed": r.seed, "kind": r.kind, "checks": r.failures}
         for r in results

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import lti_core
 from .errors import DimensionError, HorizonError
 from .signal import Partition, Trajectory, arrange_by_partition, channel_rows, hankel_image, is_gpe
@@ -85,16 +83,13 @@ class DataBundle:
 
 @dataclass(frozen=True, eq=False)
 class ImplementabilityVerdict:
-    """Decision plus certificates and diagnostics.
+    """Decision plus the residuals, excitation flags and ranks behind it.
 
     implementable is true only when both inclusion residuals pass and both
-    excitation flags hold; phi/psi solve N = R phi and R = P_w psi when the
-    inclusions hold.
+    excitation flags hold.
     """
 
     implementable: bool
-    phi: np.ndarray | None
-    psi: np.ndarray | None
     residual_hidden_in_ref: float
     residual_ref_in_plant: float
     gpe_plant: bool
@@ -176,13 +171,8 @@ def _verdict_from_bases(
 ) -> ImplementabilityVerdict:
     ok_left, res_left = is_subspace_of(N, R)
     ok_right, res_right = is_subspace_of(R, Pw)
-    inclusions = ok_left and ok_right
-    phi = R.basis.T @ N.basis if inclusions else None
-    psi = Pw.basis.T @ R.basis if inclusions else None
     return ImplementabilityVerdict(
-        implementable=inclusions and gpe_plant and gpe_ref,
-        phi=phi,
-        psi=psi,
+        implementable=ok_left and ok_right and gpe_plant and gpe_ref,
         residual_hidden_in_ref=res_left,
         residual_ref_in_plant=res_right,
         gpe_plant=gpe_plant,

@@ -15,6 +15,7 @@ data route's Hankel image -- so both routes cut it with the one
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,6 @@ class IntegerInvariants:
         if self.lag > self.n_order:
             raise ValueError(f"lag {self.lag} exceeds order {self.n_order}")
 
-    @property
-    def q(self) -> int:
-        return self.m_inputs + self.p_outputs
-
 
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
@@ -53,11 +50,12 @@ class StateSpaceModel:
     slot) the output positions.  Either block may be empty (autonomous
     systems have no inputs, free systems no outputs).
 
-    Construction verifies that (A, C) is observable, which makes the
-    realization a minimal representation of its behavior: the initial state
-    is free, so uncontrollable-but-observable states still carry behavior
-    and must not be removed.  (`random_minimal_model` additionally rejects
-    uncontrollable draws so generated plants are controllable as well.)
+    Every matrix entry must be finite.  Construction verifies that (A, C)
+    is observable, which makes the realization a minimal representation of
+    its behavior: the initial state is free, so uncontrollable-but-observable
+    states still carry behavior and must not be removed.
+    (`random_minimal_model` additionally rejects uncontrollable draws so
+    generated plants are controllable as well.)
     """
 
     A: np.ndarray
@@ -79,6 +77,8 @@ class StateSpaceModel:
         C = _shaped(self.C, p, n, "C")
         D = _shaped(self.D, p, m, "D")
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} has a non-finite entry")
             object.__setattr__(self, name, M)
         if DEFAULT_RANK_TOL.rank(observability_matrix(A, C, n)) != n:
             raise MinimalityError("(A, C) is not observable")
@@ -366,12 +366,12 @@ def free_model(k: int) -> StateSpaceModel:
     )
 
 
+#: draws `random_minimal_model` makes before it gives up
+MODEL_DRAWS = 1000
+
+
 def random_minimal_model(
-    q_w: int,
-    q_c: int,
-    n: int,
-    seed: int,
-    max_draws: int = 1000,
+    q_w: int, q_c: int, n: int, seed: int
 ) -> tuple[StateSpaceModel, Partition]:
     """Random stable minimal model over q_w + q_c channels, plus a role split.
 
@@ -379,13 +379,13 @@ def random_minimal_model(
     returned (w, c) role partition are drawn independently; the spectral
     radius is rescaled below 1 so simulated trajectories stay bounded.
     Raises GenerationError if the minimality rejection loop exhausts its
-    budget.
+    budget of :data:`MODEL_DRAWS` draws.
     """
     if q_w < 1 or q_c < 1 or n < 0:
         raise ValueError("need q_w >= 1, q_c >= 1, n >= 0")
     q_total = q_w + q_c
     rng = np.random.default_rng(seed)
-    for _ in range(max_draws):
+    for _ in range(MODEL_DRAWS):
         m = int(rng.integers(1, q_total))
         p = q_total - m
         if n > 0:
@@ -409,7 +409,7 @@ def random_minimal_model(
         except MinimalityError:
             continue
         return model, partition
-    raise GenerationError(f"no minimal model found after {max_draws} draws")
+    raise GenerationError(f"no minimal model found after {MODEL_DRAWS} draws")
 
 
 def model_to_dict(model: StateSpaceModel) -> dict:
@@ -423,9 +423,22 @@ def model_to_dict(model: StateSpaceModel) -> dict:
     }
 
 
+def _require_numbers(value, name: str) -> None:
+    """A JSON matrix holds numbers, nested in lists: true/false and strings are not numbers."""
+    if isinstance(value, list):
+        for entry in value:
+            _require_numbers(entry, name)
+    elif not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"{name} entries must be JSON numbers, got {value!r}")
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:  # beyond float range
+        raise ValueError(f"{name} has a non-finite entry")
+
+
 def model_from_dict(d: dict) -> StateSpaceModel:
     picks_u, picks_y = tuple(d["picks_w"]), tuple(d["picks_c"])
     partition = Partition(len(picks_u) + len(picks_y), picks_u, picks_y)
+    for name in "ABCD":
+        _require_numbers(d[name], name)
     return StateSpaceModel(d["A"], d["B"], d["C"], d["D"], partition)
 
 

@@ -194,7 +194,7 @@ def channel_rows(picks: tuple[int, ...], q_total: int, L: int) -> np.ndarray:
     if any(not 1 <= p <= q_total for p in picks):
         raise PartitionError(f"picks {picks} outside 1..{q_total}")
     return np.array(
-        [t * q_total + (p - 1) for t in range(L) for p in picks], dtype=int
+        [t * q_total + (p - 1) for t in range(L) for p in picks], dtype=np.intp
     )
 
 
@@ -282,7 +282,8 @@ def _read_line_by_line(path) -> np.ndarray:
     """:func:`read_float_rows` one `csv.reader` row and one `float()` at a time.
 
     An error names the line of the file on which the offending row starts; a
-    row with a quoted line break spans more than one.
+    row with a quoted line break spans more than one.  A `csv.Error`, such as
+    a field longer than `csv.field_size_limit()`, is a `ValueError` here too.
     """
     rows: list[list[float]] = []
     linenos: list[int] = []
@@ -290,25 +291,28 @@ def _read_line_by_line(path) -> np.ndarray:
     with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         start = 1
-        for row in reader:
-            lineno, start = start, reader.line_num + 1
-            if not any(cell.strip() for cell in row):
-                continue
-            if width is None and _is_header(row):
-                width = len(row)
-                continue
-            try:
-                vals = [float(x) for x in row]
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric entry on line {lineno}") from exc
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise ValueError(
-                    f"{path}: ragged row on line {lineno} ({len(vals)} != {width})"
-                )
-            rows.append(vals)
-            linenos.append(lineno)
+        try:
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                if not any(cell.strip() for cell in row):
+                    continue
+                if width is None and _is_header(row):
+                    width = len(row)
+                    continue
+                try:
+                    vals = [float(x) for x in row]
+                except ValueError as exc:
+                    raise ValueError(f"{path}: non-numeric entry on line {lineno}") from exc
+                if width is None:
+                    width = len(vals)
+                elif len(vals) != width:
+                    raise ValueError(
+                        f"{path}: ragged row on line {lineno} ({len(vals)} != {width})"
+                    )
+                rows.append(vals)
+                linenos.append(lineno)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: {exc} on line {start}") from exc
     values = np.array(rows) if rows else np.zeros((0, 0))
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():

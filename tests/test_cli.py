@@ -237,6 +237,42 @@ class TestMalformedInputs:
         assert code == 2 and stdout == ""
         assert err.startswith("error:") and repr(key) in err
 
+    # {"ref": 0} would open file descriptor 0 and read the reference from stdin
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("check", "plant"),
+            ("check", "ref"),
+            ("synth", "out"),
+            ("simulate", "model"),
+            ("simulate", "out"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, 1.5, True, [], {}])
+    def test_non_string_config_path(self, tmp_path, fixtures, capsys, command, key, value):
+        if command == "simulate":
+            config = {"model": str(fixtures["static_model"]), "T": 5, "out": "x.csv", key: value}
+            cfg_path = tmp_path / "sim.json"
+            cfg_path.write_text(json.dumps(config))
+        else:
+            cfg_path = write_static_config(tmp_path, fixtures, **{key: value})
+        code, stdout, err = run_cli([command, "--config", str(cfg_path)], capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"error: option {key!r} takes a path string, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--L", "2.5"), ("--lag-bound", "x"), ("--L", ""), ("--L", "1e1")],
+    )
+    def test_non_integer_flag(self, fixtures, capsys, flag, value):
+        # argparse collects the string; the one integer parser rejects it
+        args = check_args(fixtures, "static_data", 0, 0)
+        args[args.index(flag) + 1] = value
+        code, stdout, err = run_cli(args, capsys)
+        name = flag[2:].replace("-", "_")
+        assert code == 2 and stdout == ""
+        assert err == f"error: option {name!r} takes integers, got {value!r}\n"
+
     def test_non_integer_flag_bound(self, fixtures, capsys):
         args = check_args(fixtures, "static_data", 0, 0)
         args[args.index("--m-bound") + 1] = "1.9,0"

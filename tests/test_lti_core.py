@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from canonctrl import harness, lti_core
+from canonctrl.cli import main
 from canonctrl.errors import DimensionError, GenerationError, MinimalityError
 from canonctrl.lti_core import (
     StateSpaceModel,
@@ -305,8 +308,13 @@ class TestRandomModel:
         model, _ = random_minimal_model(1, 1, 0, seed=3)
         assert model.n == 0 and invariants_of(model).lag == 0
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(GenerationError):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(lti_core, "MODEL_DRAWS", 0)
+        with pytest.raises(GenerationError, match="after 0 draws"):
+            random_minimal_model(1, 1, 2, seed=0)
+
+    def test_draw_budget_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
             random_minimal_model(1, 1, 2, seed=0, max_draws=0)
 
     def test_bad_dims(self):
@@ -476,6 +484,45 @@ class TestModelJson:
         d["B"] = d["B"][:-1]
         with pytest.raises(DimensionError, match="B must have shape"):
             model_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("D", [[True]], "D entries must be JSON numbers"),
+            ("D", [["1"]], "D entries must be JSON numbers"),
+            ("D", "1", "D entries must be JSON numbers"),
+            ("D", [[None]], "D entries must be JSON numbers"),
+            ("A", [[False]], "A entries must be JSON numbers"),
+            ("D", [[float("nan")]], "D has a non-finite entry"),
+            ("B", [[float("inf")]], "B has a non-finite entry"),
+            ("A", [[-float("inf")]], "A has a non-finite entry"),
+            ("C", [[-(10**400)]], "C has a non-finite entry"),
+        ],
+    )
+    def test_non_number_entry_rejected(self, name, value, message):
+        d = model_to_dict(integrator_model())
+        d[name] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(d)
+
+    def test_non_finite_matrix_rejected_by_the_model(self):
+        with pytest.raises(ValueError, match="C has a non-finite entry"):
+            StateSpaceModel([[0.5]], [[1.0]], [[np.nan]], [[0.0]], Partition(2, (1,), (2,)))
+
+    @pytest.mark.parametrize(
+        "name, token",
+        [("D", "[[true]]"), ("D", '[["1"]]'), ("D", "[[NaN]]"), ("B", "[[Infinity]]")],
+    )
+    def test_simulate_rejects_the_model_json(self, tmp_path, capsys, name, token):
+        d = model_to_dict(integrator_model())
+        d[name] = "TOKEN"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(d).replace('"TOKEN"', token))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--model", str(model), "--T", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: {name} ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("A", [0.5, [0.5]])
     def test_unnested_state_matrix_rejected(self, A):
