@@ -42,6 +42,7 @@ from .subspace import (
     pinv_symmetric,
     principal_angles,
     projector_onto,
+    row_span,
     subspaces_equal,
 )
 
@@ -169,7 +170,7 @@ def controller_basis(P_r: Projector, P_p: Projector, plan: PermutationPlan) -> C
     whether the result implements the reference is decided by
     `verify_closed_loop`.
     """
-    if P_r.ambient_dim != plan.ambient_dim or P_p.ambient_dim != plan.ambient_dim:
+    if {P_r.basis.ambient_dim, P_p.basis.ambient_dim} != {plan.ambient_dim}:
         raise DimensionError("projector ambient dims do not match the plan")
     Q_r, Q_p = P_r.basis.basis, P_p.basis.basis
     r, p = Q_r.shape[1], Q_p.shape[1]
@@ -197,8 +198,7 @@ def controller_basis_intersection_route(
     cross-check.  It decides a nearly touching pair on sin(theta), where the
     formula sees theta^2 / 2, so it can drop a direction the formula keeps.
     """
-    image = intersect(P_r, P_p).basis.basis
-    return ControllerBasis(orthonormal_basis(image[plan.c_rows], scale=1.0), plan.k, plan.L)
+    return ControllerBasis(row_span(intersect(P_r, P_p).basis, plan.c_rows), plan.k, plan.L)
 
 
 def _lift(plan: PermutationPlan, Qw: np.ndarray, Qc: np.ndarray) -> BehaviorBasis:
@@ -210,7 +210,7 @@ def _lift(plan: PermutationPlan, Qw: np.ndarray, Qc: np.ndarray) -> BehaviorBasi
     lift = np.zeros((plan.ambient_dim, r + Qc.shape[1]))
     lift[plan.w_rows, :r] = Qw
     lift[plan.c_rows, r:] = Qc
-    return BehaviorBasis(plan.ambient_dim, lift)
+    return BehaviorBasis(lift)
 
 
 def lift_controller(C: ControllerBasis, plan: PermutationPlan) -> BehaviorBasis:
@@ -227,17 +227,18 @@ def verify_closed_loop(
     """Does interconnecting the plant with C reproduce the reference on w?
 
     Intersects the plant's restricted behavior with the controller lift,
-    projects onto the w coordinates, and compares against the reference by
-    principal angles.  True iff the subspaces coincide: equal dimensions
-    and a largest angle below the fixed
-    :data:`~canonctrl.subspace.DEFAULT_ANGLE_TOL`.
+    takes the span of the w rows (:func:`~canonctrl.subspace.row_span`),
+    and compares against the reference by principal angles.  True iff the
+    subspaces coincide: equal dimensions and a largest angle below the fixed
+    :data:`~canonctrl.subspace.DEFAULT_ANGLE_TOL`.  The verdict is returned
+    beside the report that holds it, as callers unpack the pair.
     """
     if P_basis.ambient_dim != plan.ambient_dim:
         raise DimensionError("plant basis ambient does not match the plan")
     if R_basis.ambient_dim != plan.q * plan.L:
         raise DimensionError("reference basis ambient does not match the plan")
     P_loop = intersect(projector_onto(P_basis), projector_onto(lift_controller(C, plan)))
-    controlled = orthonormal_basis(P_loop.basis.basis[plan.w_rows], scale=1.0)
+    controlled = row_span(P_loop.basis, plan.w_rows)
     verified, max_angle = subspaces_equal(controlled, R_basis)
     angles = tuple(float(a) for a in principal_angles(controlled, R_basis))
     report = ClosedLoopReport(
@@ -258,7 +259,6 @@ class Synthesis:
     P_p: Projector
     P_r: Projector
     controller: ControllerBasis
-    verified: bool
     report: ClosedLoopReport
 
 
@@ -277,8 +277,8 @@ def synthesize(bundle: DataBundle) -> Synthesis:
     P_r = reference_lift_projector(bundle.ref_traj, plan.k, L, plan)
     ctrl = controller_basis(P_r, P_p, plan)
     R_basis = reference_basis(bundle.ref_traj, L)
-    verified, report = verify_closed_loop(P_p.basis, ctrl, R_basis, plan)
-    return Synthesis(plan, P_p, P_r, ctrl, verified, report)
+    _, report = verify_closed_loop(P_p.basis, ctrl, R_basis, plan)
+    return Synthesis(plan, P_p, P_r, ctrl, report)
 
 
 def write_controller_csv(path, C: ControllerBasis) -> None:

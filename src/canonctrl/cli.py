@@ -154,7 +154,7 @@ def cmd_synth(args) -> int:
             "closed_loop": syn.report.to_dict(),
         }
     )
-    return 0 if syn.verified else 1
+    return 0 if syn.report.verified else 1
 
 
 def cmd_proptest(args) -> int:
@@ -223,14 +223,7 @@ def main(argv=None) -> int:
     try:
         _load_config(args)
         return args.func(args)
-    except (
-        ValueError,
-        OSError,
-        KeyError,
-        TypeError,
-        json.JSONDecodeError,
-        NumericalDegeneracyError,
-    ) as exc:
+    except (ValueError, OSError, KeyError, TypeError, NumericalDegeneracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

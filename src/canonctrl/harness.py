@@ -56,10 +56,10 @@ def integrator_plant() -> tuple[StateSpaceModel, Partition]:
     return model, Partition(2, (1,), (2,))
 
 
-def decaying_reference(rate: float = 0.5) -> StateSpaceModel:
-    """Autonomous scalar reference: next r = rate * r."""
+def decaying_reference() -> StateSpaceModel:
+    """Autonomous scalar reference: next r = 0.5 r."""
     return StateSpaceModel(
-        np.array([[rate]]),
+        np.array([[0.5]]),
         np.zeros((1, 0)),
         np.array([[1.0]]),
         np.zeros((1, 0)),
@@ -354,7 +354,7 @@ def _synthesis_checks(bundle: DataBundle) -> list[str]:
     routes_agree, _ = subspaces_equal(syn.controller.basis, ctrl_via_intersection.basis)
     if not routes_agree:
         failures.append("synthesis_routes_agree")
-    if not syn.verified:
+    if not syn.report.verified:
         failures.append("closed_loop_exact")
     return failures
 

@@ -17,7 +17,8 @@ synthesis reads, and each trajectory is factored once
 (:func:`canonctrl.signal.hankel_image` stores the factorization with it),
 so the excitation tests and synthesis reuse it.  Both routes read N and
 P_w off a joint plant basis the same way: N is its section at c = 0 and
-P_w the span of its w rows.
+P_w the span of its w rows (:func:`~canonctrl.subspace.row_span`, the one
+coordinate projection).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from . import lti_core
 from .errors import DimensionError, HorizonError
 from .signal import Partition, Trajectory, arrange_by_partition, channel_rows, hankel_image, is_gpe
-from .subspace import BehaviorBasis, is_subspace_of, orthonormal_basis
+from .subspace import BehaviorBasis, is_subspace_of, row_span
 
 
 @dataclass(frozen=True)
@@ -150,16 +151,7 @@ def uncontrolled_basis(plant_traj: Trajectory, partition: Partition, L: int) -> 
     """
     partition.require_control_split()
     U = hankel_image(plant_traj, L).basis
-    return _w_rows_image(U, partition.picks_w, plant_traj.q, L)
-
-
-def _w_rows_image(U: BehaviorBasis, picks_w: tuple[int, ...], q: int, L: int) -> BehaviorBasis:
-    """Span of the picks_w rows of U, an orthonormal basis of q-channel windows.
-
-    Rows of an orthonormal U live on the 0..1 scale, so the cutoff is
-    anchored at 1, as in :func:`~canonctrl.subspace.section`.
-    """
-    return orthonormal_basis(U.basis[channel_rows(picks_w, q, L)], scale=1.0)
+    return row_span(U, channel_rows(partition.picks_w, plant_traj.q, L))
 
 
 def _verdict_from_bases(
@@ -234,5 +226,5 @@ def check_model(
     U = lti_core.restricted_behavior_basis(plant, L)
     N = lti_core.hidden_restricted_basis(U, wc_partition, L)
     R = lti_core.restricted_behavior_basis(ref, L)
-    Pw = _w_rows_image(U, wc_partition.picks_w, plant.q, L)
+    Pw = row_span(U, channel_rows(wc_partition.picks_w, plant.q, L))
     return _verdict_from_bases(N, R, Pw, True, True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionError, GenerationError, MinimalityError
 from .signal import Partition, Trajectory, channel_rows
-from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, section
+from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, row_span, section
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,9 @@ class StateSpaceModel:
     slot) the output positions.  Either block may be empty (autonomous
     systems have no inputs, free systems no outputs).
 
-    Every matrix entry must be finite.  Construction verifies that (A, C)
+    The model holds read-only copies of its matrices, each in its exact
+    shape (an empty block may come in any empty shape, as JSON writes it
+    `[]`), and every entry must be finite.  Construction verifies that (A, C)
     is observable, which makes the realization a minimal representation of
     its behavior: the initial state is free, so uncontrollable-but-observable
     states still carry behavior and must not be removed.
@@ -65,7 +67,7 @@ class StateSpaceModel:
     partition: Partition
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = np.array(self.A, dtype=float)
         if A.size == 0:
             A = A.reshape(0, 0)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -79,6 +81,7 @@ class StateSpaceModel:
         for name, M in (("A", A), ("B", B), ("C", C), ("D", D)):
             if not np.isfinite(M).all():
                 raise ValueError(f"{name} has a non-finite entry")
+            M.flags.writeable = False
             object.__setattr__(self, name, M)
         if DEFAULT_RANK_TOL.rank(observability_matrix(A, C, n)) != n:
             raise MinimalityError("(A, C) is not observable")
@@ -109,10 +112,13 @@ class StateSpaceModel:
 
 
 def _shaped(M, rows: int, cols: int, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.size != rows * cols:
+    """A copy of M, which must have shape (rows, cols); an empty M fits any empty shape."""
+    M = np.array(M, dtype=float)
+    if M.size == 0 == rows * cols:
+        M = M.reshape(rows, cols)
+    if M.shape != (rows, cols):
         raise DimensionError(f"{name} must have shape ({rows}, {cols}), got {M.shape}")
-    return M.reshape(rows, cols)
+    return M
 
 
 def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -185,13 +191,10 @@ def invariants_of(model: StateSpaceModel) -> IntegerInvariants:
     """Integer invariants of the model's behavior; lag is the observability index."""
     n = model.n
     lag = 0
-    if n > 0:
-        for depth in range(1, n + 1):
-            if DEFAULT_RANK_TOL.rank(observability_matrix(model.A, model.C, depth)) == n:
-                lag = depth
-                break
-        else:
-            raise MinimalityError("(A, C) is not observable")
+    for depth in range(1, n + 1):
+        if DEFAULT_RANK_TOL.rank(observability_matrix(model.A, model.C, depth)) == n:
+            lag = depth
+            break
     return IntegerInvariants(model.m, model.p, n, lag)
 
 
@@ -237,12 +240,11 @@ def projected_restricted_basis(
 ) -> BehaviorBasis:
     """Restricted behavior of the projection onto the given channels.
 
-    Coordinate projection commutes with windowing, so this is the row
-    selection of the full restricted basis, re-orthonormalized.
+    Coordinate projection commutes with windowing, so this is the
+    :func:`~canonctrl.subspace.row_span` of the full restricted basis on the
+    channels' rows, the rank decision :func:`check_model` makes for P_w.
     """
-    M = behavior_window_map(model, L)
-    rows = channel_rows(picks, model.q, L)
-    return orthonormal_basis(M[rows, :])
+    return row_span(restricted_behavior_basis(model, L), channel_rows(picks, model.q, L))
 
 
 def hidden_restricted_basis(U: BehaviorBasis, wc_partition: Partition, L: int) -> BehaviorBasis:

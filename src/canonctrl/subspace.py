@@ -3,11 +3,14 @@
 Subspaces of R^d are carried around as orthonormal-column matrices
 (:class:`BehaviorBasis`); an orthogonal projector (:class:`Projector`) holds
 one and forms its d x d matrix only on request (no step of the package
-asks; the paper's controller formula works on the bases too).  A section
-of a basis (:func:`section`) is the one primitive for "the vectors of a
-subspace that satisfy a constraint": the hidden behavior (the section of
-a joint basis's w rows by its c rows) and the intersection
-(:func:`intersect`) are both sections.  Everything is
+asks; the paper's controller formula works on the bases too).  Two
+operations act on the window space of a basis.  A section of a basis
+(:func:`section`) is the one primitive for "the vectors of a subspace that
+satisfy a constraint": the hidden behavior (the section of a joint basis's
+w rows by its c rows) and the intersection (:func:`intersect`) are both
+sections.  The row span of a basis (:func:`row_span`) is the one
+coordinate projection: the uncontrolled behavior P_w, the closed loop's w
+rows and a controller's c rows are all row spans.  Everything is
 SVD-based; every rank decision reads the one rule :data:`DEFAULT_RANK_TOL`,
 so the whole package cuts singular values the same way.  Wide matrices
 (data Hankel matrices have far more columns than rows) are reduced to a
@@ -15,9 +18,10 @@ square factor by a block-wise QR factorization of their transpose before
 the SVD, which then never sees the long dimension.  The QR holds one block
 of columns at a time, so its memory is bounded by rows x block, not by the
 column count; a matrix of at most one block takes a single QR.
-The pseudoinverse of a symmetric Gram (:func:`pinv_symmetric`) comes from
-its eigenvectors as a symmetric product, exactly symmetric, with at most
-two arrays of the Gram's size held beyond it.
+The pseudoinverse of an exactly symmetric semidefinite Gram
+(:func:`pinv_symmetric`) comes from its eigenvectors as a symmetric
+product, exactly symmetric, with at most two arrays of the Gram's size held
+beyond it.
 """
 
 from __future__ import annotations
@@ -95,16 +99,17 @@ class BehaviorBasis:
     zero (the zero subspace is first-class).
     """
 
-    ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise DimensionError(
-                f"basis shape {b.shape} inconsistent with ambient dim {self.ambient_dim}"
-            )
+        if b.ndim != 2:
+            raise DimensionError(f"a basis is a matrix, got shape {b.shape}")
         object.__setattr__(self, "basis", b)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:
@@ -132,10 +137,6 @@ class Projector:
         Q = self.basis.basis
         return Q @ Q.T
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.ambient_dim
-
 
 def orthonormal_basis(M: np.ndarray, *, scale: float | None = None) -> BehaviorBasis:
     """Orthonormal basis of the column space of M (zero matrix gives r = 0).
@@ -157,9 +158,9 @@ def image_svd(
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={M.ndim}")
     if M.size == 0:
-        return BehaviorBasis(M.shape[0], np.zeros((M.shape[0], 0))), np.zeros(0)
+        return BehaviorBasis(np.zeros((M.shape[0], 0))), np.zeros(0)
     U, s, _ = np.linalg.svd(_thin_factor(M), full_matrices=False)
-    return BehaviorBasis(M.shape[0], U[:, : DEFAULT_RANK_TOL.count(s, M.shape, scale)].copy()), s
+    return BehaviorBasis(U[:, : DEFAULT_RANK_TOL.count(s, M.shape, scale)].copy()), s
 
 
 def image_basis(P: Projector) -> BehaviorBasis:
@@ -194,35 +195,40 @@ def section(keep: np.ndarray, constraint: np.ndarray) -> BehaviorBasis:
     return orthonormal_basis(keep @ annihilator, scale=1.0)
 
 
+def row_span(B: BehaviorBasis, rows: np.ndarray) -> BehaviorBasis:
+    """The coordinate projection of Image(B) onto `rows`: the span of B's rows there.
+
+    Rows of an orthonormal basis live on the 0..1 scale, so the cutoff is
+    anchored at 1, as in :func:`section`.
+    """
+    return orthonormal_basis(B.basis[rows], scale=1.0)
+
+
 def pinv_symmetric(S: np.ndarray) -> np.ndarray:
-    """Pseudoinverse of a symmetric matrix via eigendecomposition.
+    """Pseudoinverse of an exactly symmetric semidefinite matrix (a Gram).
 
     Inverts the eigenpairs whose |eigenvalue| (a singular value) the package
-    rank rule keeps.  An exactly symmetric S is factored as given; any other
-    is symmetrized first.  The kept eigenvectors, scaled once by
-    1/sqrt|eigenvalue|, form the result as Y Y^T (minus the same product of
-    the negative ones), symmetric products that are exactly symmetric, which
-    a generic SVD pinv is not.  For a semidefinite S (a Gram) it holds at
-    most two n x n arrays beyond S: the eigenvectors and Y, then Y and the
-    result.
+    rank rule keeps.  S must equal S^T entry for entry, and every kept
+    eigenvalue must be positive; any other input raises
+    NumericalDegeneracyError.  The kept eigenvectors, scaled once by
+    1/sqrt(eigenvalue), form the result as Y Y^T, a symmetric product that
+    is exactly symmetric, which a generic SVD pinv is not.  It holds at most
+    two n x n arrays beyond S: the eigenvectors and Y, then Y and the result.
     """
     S = np.asarray(S, dtype=float)
     if not np.array_equal(S, S.T):
-        S = 0.5 * (S + S.T)
+        raise NumericalDegeneracyError("pinv_symmetric needs an exactly symmetric matrix")
     w, V = np.linalg.eigh(S)
     order = np.argsort(-np.abs(w))
     keep = order[: DEFAULT_RANK_TOL.count(np.abs(w[order]), S.shape)]
     w, Y = w[keep], V[:, keep]
     del V
-    Y /= np.sqrt(np.abs(w))
-    positive = w > 0
-    if positive.all():
-        return Y @ Y.T
-    Yp, Yn = Y[:, positive], Y[:, ~positive]
-    del Y
-    X = Yp @ Yp.T
-    X -= Yn @ Yn.T
-    return X
+    if (w < 0).any():
+        raise NumericalDegeneracyError(
+            f"pinv_symmetric needs a semidefinite matrix, got eigenvalue {w.min():.3e}"
+        )
+    Y /= np.sqrt(w)
+    return Y @ Y.T
 
 
 def projector_onto(B: BehaviorBasis) -> Projector:
@@ -240,9 +246,9 @@ def intersect(PV: Projector, PW: Projector) -> Projector:
     angles whose sines the rank cutoff drops add up (Frobenius norm) to more
     than the residual tolerance.
     """
-    if PV.ambient_dim != PW.ambient_dim:
+    if PV.basis.ambient_dim != PW.basis.ambient_dim:
         raise DimensionError(
-            f"ambient dims differ: {PV.ambient_dim} vs {PW.ambient_dim}"
+            f"ambient dims differ: {PV.basis.ambient_dim} vs {PW.basis.ambient_dim}"
         )
     QV, QW = PV.basis.basis, PW.basis.basis
     inter = section(QV, QV - QW @ (QW.T @ QV))

@@ -381,7 +381,7 @@ class TestSynthesize:
             partition,
         )
         syn = synthesize(bundle)
-        assert syn.verified and syn.report.verified
+        assert syn.report.verified
         expected = orthonormal_basis(np.array([[1.0], [0.5]]))
         assert subspaces_equal(syn.controller.basis, expected)[0]
 
@@ -394,7 +394,7 @@ class TestSynthesize:
             partition,
         )
         syn = synthesize(bundle)
-        assert not syn.verified
+        assert not syn.report.verified
         assert syn.report.max_angle > 1e-8
 
     def test_stale_positional_rank_tolerance_is_a_type_error(self):
@@ -450,7 +450,7 @@ class TestSynthesize:
             assert subspaces_equal(
                 image_basis(P_p), orthonormal_basis(hankel(arranged, case.L))
             )[0]
-            assert syn.verified, seed
+            assert syn.report.verified, seed
 
     @pytest.mark.parametrize("seed", [2, 4])  # r_r + r_p <= d, then > d
     def test_no_projector_matrix_formed(self, seed, monkeypatch):
@@ -466,7 +466,7 @@ class TestSynthesize:
         monkeypatch.setattr(Projector, "matrix", property(no_matrix))
         syn = synthesize(bundle)
         assert syn.controller.dim == expected
-        assert syn.verified
+        assert syn.report.verified
 
     def test_one_hankel_matrix_per_trajectory(self, hankel_calls):
         case = harness.build_case(6000, "closed_loop")
@@ -474,7 +474,7 @@ class TestSynthesize:
             case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds
         )
         hankel_calls.clear()  # the excitation tests of the case's construction
-        assert synthesize(bundle).verified
+        assert synthesize(bundle).report.verified
         assert len(hankel_calls) == 2
         ref_calls = [w for w in hankel_calls if w is bundle.ref_traj]
         plant_calls = [w for w in hankel_calls if w is not bundle.ref_traj]
@@ -487,7 +487,7 @@ class TestSynthesize:
         )
         hankel_calls.clear()  # the excitation tests of the case's construction
         assert check_data(bundle).implementable
-        assert synthesize(bundle).verified
+        assert synthesize(bundle).report.verified
         assert len(hankel_calls) == 2
         assert {id(w) for w in hankel_calls} == {id(bundle.plant_traj), id(bundle.ref_traj)}
 
@@ -501,7 +501,7 @@ class TestSynthesize:
             verified, report = verify_closed_loop(
                 syn.P_p.basis, syn.controller, reference_basis(case.ref_traj, case.L), syn.plan
             )
-            assert report == syn.report and verified == syn.verified
+            assert report == syn.report and verified == syn.report.verified
 
     def test_no_square_factorization(self, monkeypatch):
         case = harness.build_case(6000, "closed_loop")
@@ -522,7 +522,7 @@ class TestSynthesize:
                 continue
             if getattr(mod, "orthonormal_basis", None) is original_basis:
                 monkeypatch.setattr(mod, "orthonormal_basis", counting_basis)
-        assert synthesize(bundle).verified
+        assert synthesize(bundle).report.verified
         # the closed-loop intersection is a section of the plant basis, and
         # the plant and reference bases are the ones the projectors hold
         assert square_calls == []

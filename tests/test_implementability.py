@@ -249,7 +249,13 @@ class TestCheckModel:
     def test_reference_equals_hidden_behavior(self):
         # controller clamping c to zero leaves the constant trajectories
         plant, partition = harness.integrator_plant()
-        constants = harness.decaying_reference(rate=1.0)
+        constants = lti_core.StateSpaceModel(
+            np.array([[1.0]]),
+            np.zeros((1, 0)),
+            np.array([[1.0]]),
+            np.zeros((1, 0)),
+            Partition(1, (), (1,)),
+        )
         verdict = check_model(plant, partition, constants, 2)
         assert verdict.implementable
 
@@ -310,8 +316,9 @@ class TestCheckModel:
         assert data.to_dict()["ranks"] == model.to_dict()["ranks"]
 
     def test_uncontrolled_basis_matches_projected_oracle(self, monkeypatch):
-        # P_w is read off the plant's restricted basis; the independent
-        # oracle rebuilds the window map and factors its w rows
+        # P_w is read off the plant's restricted basis it shares with N; it
+        # must be the projected restricted behavior on the w channels
+        # (simulations check that one in test_lti_core)
         seen = {}
         verdict_from_bases = implementability._verdict_from_bases
 
@@ -470,13 +477,13 @@ class TestConsistencyProperties:
             assert v1.implementable == v2.implementable
 
 
-def long_data_draw(index: int, T: int, L: int):
-    """Draw `index` (from 0) of the (2,2,4), (3,2,8), (4,3,12) sequence from default_rng(0).
+def long_data_draw(index: int, T: int, L: int, seed: int = 0):
+    """Draw `index` (from 0) of the (2,2,4), (3,2,8), (4,3,12) sequence from default_rng(seed).
 
     Each draw runs the whole sequence and keeps its (4, 3, 12) plant and
     feedback reference, simulated with data seeds 2 index + 1 and 2 index + 2.
     """
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     for _ in range(index + 1):
         for q_w, q_c, n in ((2, 2, 4), (3, 2, 8), (4, 3, 12)):
             plant, partition = harness.random_plant(q_w, q_c, n, rng)
@@ -556,7 +563,7 @@ class TestLongDataReproducer:
         # whose eigenvalues run up to 2, so its cutoff is 1e-10 * 2 * 420
         _, syn = fourth_draw
         report = syn.report
-        assert syn.verified, (syn.controller.dim, report.dim_controlled, report.dim_reference)
+        assert report.verified, (syn.controller.dim, report.dim_controlled, report.dim_reference)
 
     def test_intersection_route_verifies_fourth_draw(self, fourth_draw):
         # the intersection decides the theta = 6.2e-5 pair on sin(theta), not theta^2 / 2
@@ -573,9 +580,10 @@ class TestRankDriftWithHorizon:
     """The oracle's reference rank at the benchmark's channel counts, by horizon.
 
     The first (4, 3, 12) draw of the (2,2,4), (3,2,8), (4,3,12) sequence from
-    default_rng(6) has a reference implementable by construction.  Its
-    depth-L window map is qL x (n + mL), and its smallest singular value
-    stays at 1.78-1.81e-8 sigma_max at every L.  The rank cutoff
+    default_rng(6) (``long_data_draw(0, T, L, seed=6)``) has a reference
+    implementable by construction.  Its depth-L window map is qL x (n + mL),
+    and its smallest singular value stays at 1.78-1.81e-8 sigma_max at every
+    L.  The rank cutoff
     1e-10 sigma_max min(shape) grows with n + mL: 5.5e-9 at L = 14, 1.93e-8
     at L = 60.  So at L = 60 the reference loses a dimension (rank 192 of
     193), the hidden behavior no longer fits in it (residual 4.9e-4), and
@@ -584,10 +592,7 @@ class TestRankDriftWithHorizon:
 
     @pytest.fixture(scope="class")
     def draw(self):
-        rng = np.random.default_rng(6)
-        for q_w, q_c, n in ((2, 2, 4), (3, 2, 8), (4, 3, 12)):
-            plant, partition = harness.random_plant(q_w, q_c, n, rng)
-            ref = harness.feedback_reference_model(plant, partition, 1, rng)
+        plant, partition, ref, _ = long_data_draw(0, 8000, 60, seed=6)
         return plant, partition, ref
 
     @pytest.mark.parametrize("L", [14, 16, 30])
@@ -607,3 +612,86 @@ class TestRankDriftWithHorizon:
         plant, partition, ref = draw
         verdict = check_model(plant, partition, ref, 60)
         assert verdict.implementable, verdict.to_dict()
+
+
+#: The long-draw set: draw j of seed s is long_data_draw(j, 8000, 60, seed=s).
+LONG_DRAW_SET = [(s, j) for s in range(10) for j in range(2)]
+
+_REF_RANK_DRIFT = (
+    "the oracle's reference window map keeps 192 of its 193 directions, as the rank cutoff "
+    "grows with n + mL, so the hidden behavior leaves the reference (ROADMAP item 8)"
+)
+
+#: (s, j) -> why the oracle verdict is a false negative
+ORACLE_FALSE_NEGATIVES = {
+    (2, 0): _REF_RANK_DRIFT,
+    (3, 1): _REF_RANK_DRIFT,
+    (6, 0): _REF_RANK_DRIFT,
+    (8, 0): _REF_RANK_DRIFT,
+}
+
+
+def _ref_excitation(rank):
+    return (
+        f"the reference Hankel matrix keeps {rank} of 193 directions under the rank cutoff, "
+        "so the reference excitation test fails (ROADMAP item 8)"
+    )
+
+
+#: (s, j) -> why the data verdict is a false negative
+DATA_FALSE_NEGATIVES = {
+    (2, 0): _ref_excitation(190),
+    (3, 1): _ref_excitation(192),
+    (6, 0): _ref_excitation(191),
+    (7, 1): _ref_excitation(192),
+    (8, 0): "the plant Hankel matrix keeps 371 of 372 directions and the reference's 191 "
+    "of 193, so both excitation tests fail (ROADMAP item 8)",
+    (9, 0): _ref_excitation(192),
+    (9, 1): "the plant Hankel matrix keeps 370 of 372 directions, so the plant excitation "
+    "test fails (ROADMAP item 8)",
+}
+
+
+def _long_draw_params(false_negatives):
+    return [
+        pytest.param(
+            s,
+            j,
+            marks=pytest.mark.xfail(
+                strict=True, raises=AssertionError, reason=f"({s}, {j}): {false_negatives[s, j]}"
+            ),
+        )
+        if (s, j) in false_negatives
+        else (s, j)
+        for s, j in LONG_DRAW_SET
+    ]
+
+
+class TestLongDrawSet:
+    """Data and oracle verdicts on the long-draw set, at the benchmark's size.
+
+    Seeds s = 0..9, draws j = 0, 1 of :func:`long_data_draw` at T = 8000,
+    L = 60: twenty (4, 3, 12) plants with feedback references, each
+    implementable by construction, so both verdicts must be implementable.
+    The false negatives that remain are strict xfails named by (s, j).
+    """
+
+    T, L = 8000, 60
+
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        out = {}
+        for s, j in LONG_DRAW_SET:
+            plant, partition, ref, bundle = long_data_draw(j, self.T, self.L, seed=s)
+            out[s, j] = check_data(bundle), check_model(plant, partition, ref, self.L)
+        return out
+
+    @pytest.mark.parametrize("s, j", _long_draw_params(ORACLE_FALSE_NEGATIVES))
+    def test_oracle_verdict_implementable(self, verdicts, s, j):
+        _, vm = verdicts[s, j]
+        assert vm.implementable, vm.to_dict()
+
+    @pytest.mark.parametrize("s, j", _long_draw_params(DATA_FALSE_NEGATIVES))
+    def test_data_verdict_implementable(self, verdicts, s, j):
+        vd, _ = verdicts[s, j]
+        assert vd.implementable, vd.to_dict()

@@ -89,6 +89,33 @@ class TestStateSpaceModel:
                 Partition(2, (1,), (2,)),
             )
 
+    def test_holds_read_only_copies(self):
+        A, B, C, D = np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])
+        model = StateSpaceModel(A, B, C, D, Partition(2, (1,), (2,)))
+        C[:] = 0.0  # would make (A, C) unobservable if the model shared it
+        assert model.C[0, 0] == 1.0 and invariants_of(model).lag == 1
+        for source, M in zip((A, B, C, D), (model.A, model.B, model.C, model.D)):
+            assert not np.shares_memory(source, M) and not M.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            model.A[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "B, C, message",
+        [
+            ([1.0, 1.0], [[1.0, 1.0]], r"B must have shape \(2, 1\), got \(2,\)"),
+            ([[1.0, 1.0]], [[1.0, 1.0]], r"B must have shape \(2, 1\), got \(1, 2\)"),
+            ([[1.0], [1.0]], [[1.0], [1.0]], r"C must have shape \(1, 2\), got \(2, 1\)"),
+        ],
+        ids=["flat-B", "row-B", "transposed-C"],
+    )
+    def test_matrix_of_the_right_size_in_another_shape(self, B, C, message):
+        with pytest.raises(DimensionError, match=message):
+            StateSpaceModel(np.diag([0.5, 0.3]), B, C, [[0.0]], Partition(2, (1,), (2,)))
+
+    def test_empty_block_in_any_empty_shape(self):
+        model = StateSpaceModel([], [], [[]], [[1.0]], Partition(2, (1,), (2,)))
+        assert model.A.shape == (0, 0) and model.B.shape == (0, 1) and model.C.shape == (1, 0)
+
 
 def stepwise_simulate(model, U, x0):
     """Reference simulation: outputs and state update one sample at a time."""
@@ -511,7 +538,13 @@ class TestModelJson:
 
     @pytest.mark.parametrize(
         "name, token",
-        [("D", "[[true]]"), ("D", '[["1"]]'), ("D", "[[NaN]]"), ("B", "[[Infinity]]")],
+        [
+            ("D", "[[true]]"),
+            ("D", '[["1"]]'),
+            ("D", "[[NaN]]"),
+            ("B", "[[Infinity]]"),
+            ("B", "[1.0]"),
+        ],
     )
     def test_simulate_rejects_the_model_json(self, tmp_path, capsys, name, token):
         d = model_to_dict(integrator_model())
@@ -522,6 +555,18 @@ class TestModelJson:
         code = main(["simulate", "--model", str(model), "--T", "5", "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith(f"error: {name} ")
+        assert not out.exists()
+
+    def test_simulate_rejects_a_transposed_output_matrix(self, tmp_path, capsys):
+        # C is 1 x 2: its 2 x 1 transpose has the right size but not the right shape
+        d = {"A": [[0.5, 0.0], [0.0, 0.3]], "B": [[1.0], [1.0]], "C": [[1.0], [1.0]]}
+        d.update(D=[[0.0]], picks_w=[1], picks_c=[2])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(d))
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--model", str(model), "--T", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: C must have shape (1, 2)")
         assert not out.exists()
 
     @pytest.mark.parametrize("A", [0.5, [0.5]])

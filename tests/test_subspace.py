@@ -129,7 +129,7 @@ class TestWideMatrices:
                 # bound eps sigma_1 / (sigma_r - sigma_{r+1}) of each case
                 gap = s[r - 1] - (s[r] if r < s.size else 0.0)
                 bound = rows * np.finfo(float).eps * s[0] / gap
-                sines = np.sin(principal_angles(B, BehaviorBasis(rows, U[:, :r])))
+                sines = np.sin(principal_angles(B, BehaviorBasis(U[:, :r])))
                 assert sines.max() <= bound, (sines.max(), bound)
                 assert np.abs(B.basis[list(zero_rows)]).max(initial=0.0) < 1e-10
 
@@ -182,7 +182,7 @@ class TestBlockwiseFactor:
         assert np.abs(s - s1).max() <= 1e-14 * s1[0]
         gap = s1[r - 1] - (s1[r] if r < s1.size else 0.0)
         bound = M.shape[0] * np.finfo(float).eps * s1[0] / gap
-        angles = principal_angles(B, BehaviorBasis(M.shape[0], U1[:, :r]))
+        angles = principal_angles(B, BehaviorBasis(U1[:, :r]))
         assert np.sin(angles).max() <= bound, (np.sin(angles).max(), bound)
         return r
 
@@ -243,12 +243,12 @@ class TestPinv:
         assert np.abs(pinv(noise)).max() > 1e12
         assert np.array_equal(pinv(noise, scale=1.0), np.zeros((3, 4)))
 
-    def test_symmetric_variant_matches_and_stays_symmetric(self, rng):
+    def test_symmetric_variant_rejects_an_indefinite_matrix(self, rng):
         S = rng.standard_normal((6, 6))
         S = S + S.T
-        X = pinv_symmetric(S)
-        assert np.array_equal(X, X.T)
-        assert np.allclose(X, pinv(S), atol=1e-10)
+        assert np.linalg.eigvalsh(S).min() < -1e-3
+        with pytest.raises(NumericalDegeneracyError, match="semidefinite"):
+            pinv_symmetric(S)
 
     def test_symmetric_variant_of_a_gram_is_exactly_symmetric(self, rng):
         G = rng.standard_normal((4, 6))
@@ -257,11 +257,12 @@ class TestPinv:
         assert np.array_equal(X, X.T)
         assert np.allclose(X, pinv(S), atol=1e-10)
 
-    def test_symmetric_variant_symmetrizes_other_input(self, rng):
+    def test_symmetric_variant_rejects_a_nonsymmetric_matrix(self, rng):
         S = rng.standard_normal((6, 6))
         S = S @ S.T + 1e-6 * rng.standard_normal((6, 6))
         assert not np.array_equal(S, S.T)
-        assert np.array_equal(pinv_symmetric(S), pinv_symmetric(0.5 * (S + S.T)))
+        with pytest.raises(NumericalDegeneracyError, match="exactly symmetric"):
+            pinv_symmetric(S)
 
     @pytest.mark.parametrize("rank", [369, 300])
     def test_symmetric_variant_holds_two_square_arrays(self, rng, rank):
@@ -350,9 +351,9 @@ class TestProjector:
 
     def test_basis_must_be_orthonormal(self):
         with pytest.raises(NumericalDegeneracyError):
-            Projector(BehaviorBasis(2, np.array([[1.0, 1.0], [0.0, 1.0]])))
+            Projector(BehaviorBasis(np.array([[1.0, 1.0], [0.0, 1.0]])))
         with pytest.raises(NumericalDegeneracyError):
-            Projector(BehaviorBasis(2, np.array([[0.5], [0.0]])))
+            Projector(BehaviorBasis(np.array([[0.5], [0.0]])))
 
 
 class TestIntersect:
@@ -372,8 +373,8 @@ class TestIntersect:
             QA = orthonormal_basis(np.hstack([shared, rng.standard_normal((10, 3))])).basis
             QB = orthonormal_basis(np.hstack([shared, rng.standard_normal((10, 2))])).basis
             P = intersect(
-                projector_onto(BehaviorBasis(10, QA)),
-                projector_onto(BehaviorBasis(10, QB)),
+                projector_onto(BehaviorBasis(QA)),
+                projector_onto(BehaviorBasis(QB)),
             )
             ours = image_basis(P)
             oracle = kernel_method_intersection(QA, QB)
@@ -397,7 +398,7 @@ class TestIntersect:
 
     def test_zero_subspace_input(self):
         P = intersect(
-            projector_onto(BehaviorBasis(5, np.zeros((5, 0)))),
+            projector_onto(BehaviorBasis(np.zeros((5, 0)))),
             projector_onto(orthonormal_basis(np.eye(5))),
         )
         assert np.allclose(P.matrix, np.zeros((5, 5)))
@@ -419,13 +420,13 @@ class TestIntersect:
         W = V.copy()
         W[:, :120] = np.cos(theta) * V[:, :120] + np.sin(theta) * Q[:, 200:]
         with pytest.raises(NumericalDegeneracyError, match="not inside both inputs"):
-            intersect(projector_onto(BehaviorBasis(420, V)), projector_onto(BehaviorBasis(420, W)))
+            intersect(projector_onto(BehaviorBasis(V)), projector_onto(BehaviorBasis(W)))
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionError):
             intersect(
-                projector_onto(BehaviorBasis(3, np.zeros((3, 0)))),
-                projector_onto(BehaviorBasis(4, np.zeros((4, 0)))),
+                projector_onto(BehaviorBasis(np.zeros((3, 0)))),
+                projector_onto(BehaviorBasis(np.zeros((4, 0)))),
             )
 
 
