@@ -9,7 +9,8 @@ sequentially; the input term `B u` and the outputs are whole-array products.
 :func:`hidden_restricted_basis` reads the hidden behavior off any orthonormal
 basis of a joint restricted behavior -- the oracle's window map image or the
 data route's Hankel image -- so both routes cut it with the one
-:func:`~canonctrl.subspace.section`.
+:func:`~canonctrl.subspace.section`.  Lag <= order <= n holds for any channel
+projection, so :func:`projected_invariants` reads its profile to depth n + 2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GenerationError, MinimalityError
+from .errors import DimensionError, GenerationError, MinimalityError, NumericalDegeneracyError
 from .signal import Partition, Trajectory, channel_rows
 from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, row_span, section
 
@@ -67,11 +68,7 @@ class StateSpaceModel:
     partition: Partition
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        if A.size == 0:
-            A = A.reshape(0, 0)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionError(f"A must be square, got shape {A.shape}")
+        A = _shaped(self.A, None, None, "A")
         n = A.shape[0]
         m = len(self.partition.picks_w)
         p = len(self.partition.picks_c)
@@ -111,9 +108,23 @@ class StateSpaceModel:
         return self.partition.picks_c
 
 
-def _shaped(M, rows: int, cols: int, name: str) -> np.ndarray:
-    """A copy of M, which must have shape (rows, cols); an empty M fits any empty shape."""
-    M = np.array(M, dtype=float)
+def _shaped(M, rows: int | None, cols: int | None, name: str) -> np.ndarray:
+    """A copy of matrix `name`, of shape (rows, cols), or square if both are None.
+
+    An empty M fits any empty shape; a ragged M raises DimensionError.
+    """
+    try:
+        M = np.array(M, dtype=float)
+    except ValueError as exc:  # numpy: "setting an array element with a sequence"
+        if "sequence" not in str(exc):
+            raise
+        raise DimensionError(f"{name} is ragged: its rows differ in length") from None
+    if rows is None:
+        if M.size == 0:
+            M = M.reshape(0, 0)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise DimensionError(f"{name} must be square, got shape {M.shape}")
+        return M
     if M.size == 0 == rows * cols:
         M = M.reshape(rows, cols)
     if M.shape != (rows, cols):
@@ -122,14 +133,8 @@ def _shaped(M, rows: int, cols: int, name: str) -> np.ndarray:
 
 
 def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    blocks, M = [], B
-    for _ in range(n):
-        blocks.append(M)
-        M = A @ M
-    return np.hstack(blocks)
+    """[B, AB, ..., A^(n-1) B], the transpose of the observability matrix of (A^T, B^T)."""
+    return observability_matrix(A.T, B.T, A.shape[0]).T
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray, depth: int) -> np.ndarray:
@@ -188,13 +193,11 @@ def simulate(
 
 
 def invariants_of(model: StateSpaceModel) -> IntegerInvariants:
-    """Integer invariants of the model's behavior; lag is the observability index."""
+    """Integer invariants of the model's behavior; lag is the observability index,
+    the first depth d at which the leading p d rows of O_n have rank n."""
     n = model.n
-    lag = 0
-    for depth in range(1, n + 1):
-        if DEFAULT_RANK_TOL.rank(observability_matrix(model.A, model.C, depth)) == n:
-            lag = depth
-            break
+    O = observability_matrix(model.A, model.C, n)
+    lag = next(d for d in range(n + 1) if DEFAULT_RANK_TOL.rank(O[: model.p * d]) == n)
     return IntegerInvariants(model.m, model.p, n, lag)
 
 
@@ -269,34 +272,27 @@ def hidden_restricted_basis(U: BehaviorBasis, wc_partition: Partition, L: int) -
 def projected_invariants(model: StateSpaceModel, picks: tuple[int, ...]) -> IntegerInvariants:
     """Integer invariants of the behavior projected onto the given channels.
 
-    Detected from the dimension profile d(L), the ranks of the projected
-    window maps: above the projected lag, d(L) is affine with slope = input
-    count and intercept = order.  The system is causal, so the depth-L
-    window map is the leading qL x (n + mL) block of the depth-L_hi map, and
-    one map serves every depth.
+    From the projected lag on, the dimension profile d(L), the ranks of the
+    projected window maps, is m L + n_proj (m inputs, order n_proj).  The
+    model's state is a state of the projection, so lag <= n_proj <= n and
+    depths to n + 2 decide all three.  By causality one depth-(n + 2) map
+    serves every depth: its leading qL x (n + mL) block is the depth-L map.
+    Raises NumericalDegeneracyError when the last two steps of d differ.
     """
-    L_hi = max(3, 2 * model.n + 4)
-    M = behavior_window_map(model, L_hi)
-    n, m = model.n, model.m
+    n, m, depth = model.n, model.m, model.n + 2
+    M = behavior_window_map(model, depth)
     dims = [0] + [
         DEFAULT_RANK_TOL.rank(M[channel_rows(picks, model.q, L), : n + m * L])
-        for L in range(1, L_hi + 1)
+        for L in range(1, depth + 1)
     ]
-    diffs = [dims[L + 1] - dims[L] for L in range(1, L_hi)]
-    settle = max(2, n + 2)
-    tail = diffs[-settle:]
-    if len(set(tail)) != 1:
-        raise ValueError("dimension profile did not settle; cannot detect invariants")
-    m_proj = tail[0]
-    n_proj = dims[L_hi] - m_proj * L_hi
-    if n_proj == 0:
-        lag = 0
-    else:
-        lag = 1
-        for L in range(L_hi, 0, -1):
-            if dims[L] != m_proj * L + n_proj:
-                lag = L + 1
-                break
+    m_proj = dims[depth] - dims[depth - 1]
+    if dims[depth - 1] - dims[depth - 2] != m_proj:
+        raise NumericalDegeneracyError(
+            f"projected dimension profile {dims[1:]} is not affine at depths {n}..{depth}"
+        )
+    n_proj = dims[depth] - m_proj * depth
+    misses = [L for L in range(depth + 1) if dims[L] != m_proj * L + n_proj]
+    lag = 1 + max(misses) if n_proj else 0  # d(0) = 0 misses when n_proj > 0
     return IntegerInvariants(m_proj, len(picks) - m_proj, n_proj, lag)
 
 
@@ -321,9 +317,7 @@ def observable_realization(
     unobservable subspace is A-invariant, so the orthonormal change of
     coordinates leaves an observable realization of the same behavior.
     """
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        A = A.reshape(0, 0)
+    A = _shaped(A, None, None, "A")
     B = np.asarray(B, dtype=float)
     C = np.asarray(C, dtype=float)
     D = np.asarray(D, dtype=float)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from canonctrl import signal
+from canonctrl import harness, signal
 from canonctrl.subspace import BehaviorBasis, orthonormal_basis, pinv_symmetric
 
 
@@ -41,6 +41,20 @@ def dense_controller_formula(P_r, P_p, plan) -> BehaviorBasis:
     Mr, Mp = P_r.matrix, P_p.matrix
     X = Mr @ pinv_symmetric(Mr + Mp) @ Mp
     return orthonormal_basis(X[plan.c_rows], scale=1.0)
+
+
+def long_draw_models(index: int, seed: int = 0):
+    """Draw `index` (from 0) of the (2,2,4), (3,2,8), (4,3,12) sequence from default_rng(seed).
+
+    Each draw runs the whole sequence of `harness.random_plant` plus a
+    feedback reference, and keeps its (4, 3, 12) plant, partition and reference.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        for q_w, q_c, n in ((2, 2, 4), (3, 2, 8), (4, 3, 12)):
+            plant, partition = harness.random_plant(q_w, q_c, n, rng)
+            ref = harness.feedback_reference_model(plant, partition, 1, rng)
+    return plant, partition, ref
 
 
 @pytest.fixture

@@ -30,6 +30,8 @@ from canonctrl.signal import (
 )
 from canonctrl.subspace import orthonormal_basis, principal_angles, subspaces_equal
 
+from conftest import long_draw_models
+
 
 @pytest.fixture
 def static_case():
@@ -480,14 +482,10 @@ class TestConsistencyProperties:
 def long_data_draw(index: int, T: int, L: int, seed: int = 0):
     """Draw `index` (from 0) of the (2,2,4), (3,2,8), (4,3,12) sequence from default_rng(seed).
 
-    Each draw runs the whole sequence and keeps its (4, 3, 12) plant and
-    feedback reference, simulated with data seeds 2 index + 1 and 2 index + 2.
+    The (4, 3, 12) plant and feedback reference of :func:`long_draw_models`,
+    simulated with data seeds 2 index + 1 and 2 index + 2.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(index + 1):
-        for q_w, q_c, n in ((2, 2, 4), (3, 2, 8), (4, 3, 12)):
-            plant, partition = harness.random_plant(q_w, q_c, n, rng)
-            ref = harness.feedback_reference_model(plant, partition, 1, rng)
+    plant, partition, ref = long_draw_models(index, seed)
     plant_traj = harness.plant_data(plant, T, seed=2 * index + 1)
     ref_traj = harness.plant_data(ref, T, seed=2 * index + 2)
     bounds = InvariantBounds(plant.m, plant.n, ref.m, ref.n, max(plant.n, ref.n))

@@ -5,12 +5,18 @@ import pytest
 
 from canonctrl import harness, lti_core
 from canonctrl.cli import main
-from canonctrl.errors import DimensionError, GenerationError, MinimalityError
+from canonctrl.errors import (
+    DimensionError,
+    GenerationError,
+    MinimalityError,
+    NumericalDegeneracyError,
+)
 from canonctrl.lti_core import (
     StateSpaceModel,
     behavior_window_map,
     free_model,
     hidden_restricted_basis,
+    horizon_lag,
     invariants_of,
     observable_realization,
     model_from_dict,
@@ -25,7 +31,9 @@ from canonctrl.lti_core import (
     write_model_json,
 )
 from canonctrl.signal import Partition, Trajectory
-from canonctrl.subspace import orthonormal_basis, subspaces_equal
+from canonctrl.subspace import DEFAULT_RANK_TOL, orthonormal_basis, subspaces_equal
+
+from conftest import long_draw_models
 
 
 def identity_model():
@@ -426,17 +434,35 @@ class TestProjectionOracles:
                 assert np.array_equal(lead, behavior_window_map(model, L))
 
     def test_projected_invariants_match_per_depth_dims(self):
-        # the profile read off one deep map equals the per-depth bases'
-        for seed in range(20):
-            model, partition = random_minimal_model(2, 2, seed % 4, seed=seed)
+        # the invariants read off the profile to depth n + 2 predict the
+        # per-depth bases' dimensions up to 2n + 4; the long draws are the
+        # benchmark's (4, 3, 12) plants
+        draws = {f"seed {s}": random_minimal_model(2, 2, s % 4, seed=s) for s in range(20)}
+        draws.update({f"long draw {k}": long_draw_models(k)[:2] for k in range(4)})
+        for name, (model, partition) in draws.items():
             inv = projected_invariants(model, partition.picks_w)
-            dims = {
-                L: projected_restricted_basis(model, partition.picks_w, L).dim
-                for L in range(1, 2 * model.n + 5)
-            }
-            for L, d in dims.items():
+            for L in range(1, 2 * model.n + 5):
+                d = projected_restricted_basis(model, partition.picks_w, L).dim
                 affine = inv.m_inputs * L + inv.n_order
-                assert (d == affine) == (L >= max(inv.lag, 1)), f"seed {seed}, L={L}"
+                assert (d == affine) == (L >= max(inv.lag, 1)), f"{name}, L={L}"
+
+    def test_profile_not_affine_at_the_order_bound_raises(self, monkeypatch):
+        # a rank rule that adds one dimension at depth n + 2 only bends the
+        # profile where the order bound says it is affine: no lag is returned
+        model, partition = random_minimal_model(2, 2, 3, seed=1)
+        ref, _ = harness.integrator_plant()
+        n, m, k = model.n, model.m, len(partition.picks_w)
+        deepest = (k * (n + 2), n + m * (n + 2))
+
+        class BentAtTheTop:
+            def rank(self, M):
+                return DEFAULT_RANK_TOL.rank(M) + (M.shape == deepest)
+
+        monkeypatch.setattr(lti_core, "DEFAULT_RANK_TOL", BentAtTheTop())
+        with pytest.raises(NumericalDegeneracyError, match="profile"):
+            projected_invariants(model, partition.picks_w)
+        with pytest.raises(NumericalDegeneracyError, match="profile"):
+            horizon_lag(model, partition.picks_w, ref)
 
     def test_integrator_w_projection_is_free(self):
         model, partition = harness.integrator_plant()
@@ -544,6 +570,9 @@ class TestModelJson:
             ("D", "[[NaN]]"),
             ("B", "[[Infinity]]"),
             ("B", "[1.0]"),
+            ("A", "[[1.0], [1.0, 2.0]]"),
+            ("B", "[[1.0], [1.0, 2.0]]"),
+            ("C", "[[1.0], [1.0, 2.0]]"),
         ],
     )
     def test_simulate_rejects_the_model_json(self, tmp_path, capsys, name, token):
