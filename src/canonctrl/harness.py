@@ -33,38 +33,20 @@ from .subspace import DEFAULT_RESIDUAL_TOL, subspaces_equal
 
 
 def static_plant() -> tuple[StateSpaceModel, Partition]:
-    """Memoryless plant enforcing w = c (channel 1 is w, channel 2 is c)."""
-    model = StateSpaceModel(
-        np.zeros((0, 0)),
-        np.zeros((0, 1)),
-        np.zeros((1, 0)),
-        np.array([[1.0]]),
-        Partition(2, (2,), (1,)),
-    )
+    """Memoryless plant enforcing w = c (channel 1 is w, channel 2 is c, its input)."""
+    model = StateSpaceModel([], [], [], [[1.0]], (2,), (1,))
     return model, Partition(2, (1,), (2,))
 
 
 def integrator_plant() -> tuple[StateSpaceModel, Partition]:
-    """Accumulator plant: next w = w + c (channel 1 is w, channel 2 is c)."""
-    model = StateSpaceModel(
-        np.array([[1.0]]),
-        np.array([[1.0]]),
-        np.array([[1.0]]),
-        np.array([[0.0]]),
-        Partition(2, (2,), (1,)),
-    )
+    """Accumulator plant: next w = w + c (channel 1 is w, channel 2 is c, its input)."""
+    model = StateSpaceModel([[1.0]], [[1.0]], [[1.0]], [[0.0]], (2,), (1,))
     return model, Partition(2, (1,), (2,))
 
 
 def decaying_reference() -> StateSpaceModel:
-    """Autonomous scalar reference: next r = 0.5 r."""
-    return StateSpaceModel(
-        np.array([[0.5]]),
-        np.zeros((1, 0)),
-        np.array([[1.0]]),
-        np.zeros((1, 0)),
-        Partition(1, (), (1,)),
-    )
+    """Autonomous scalar reference: next r = 0.5 r (no inputs, so B and D are empty)."""
+    return StateSpaceModel([[0.5]], [], [[1.0]], [], (), (1,))
 
 
 def decaying_reference_data(T: int) -> Trajectory:
@@ -158,7 +140,7 @@ def feedback_reference_model(
     wu = [(j + 1, in_pos[p]) for j, p in enumerate(wc_partition.picks_w) if p in in_pos]
     wy = [(j + 1, out_pos[p]) for j, p in enumerate(wc_partition.picks_w) if p in out_pos]
     wy_rows = [i for _, i in wy]
-    partition = Partition(wc_partition.n_w, [j for j, _ in wu], [j for j, _ in wy])
+    ins, outs = [j for j, _ in wu], [j for j, _ in wy]  # the reference's channel placement
 
     # the products below multiply by selection matrices rather than index
     # rows: that keeps their summation order, so the drawn models stay the same
@@ -189,7 +171,7 @@ def feedback_reference_model(
         C_cl = np.hstack([plant.C[wy_rows], DEcCz[wy_rows]])
         D_cl = (plant.D @ E_w)[wy_rows]
         try:
-            return StateSpaceModel(*observable_realization(A_cl, B_cl, C_cl, D_cl), partition)
+            return StateSpaceModel(*observable_realization(A_cl, B_cl, C_cl, D_cl), ins, outs)
         except MinimalityError:
             continue
     raise GenerationError("no minimal closed-loop reference after 50 draws")
@@ -211,7 +193,7 @@ def random_reference_model(q: int, n: int, rng: np.random.Generator) -> StateSpa
         D = rng.standard_normal((p, m))
         order = rng.permutation(q) + 1
         try:
-            return StateSpaceModel(A, B, C, D, Partition(q, order[:m], order[m:]))
+            return StateSpaceModel(A, B, C, D, order[:m], order[m:])
         except MinimalityError:
             continue
     raise GenerationError("no minimal reference after 100 draws")
@@ -234,9 +216,7 @@ def random_sub_behavior_model(
     E_r = np.eye(model.m)[:, m_sub:]
     # channels: free inputs stay inputs; tied inputs and the original
     # outputs become outputs of the sub-behavior
-    partition = Partition(
-        model.q, model.input_picks[:m_sub], model.input_picks[m_sub:] + model.output_picks
-    )
+    ins, outs = model.input_picks[:m_sub], model.input_picks[m_sub:] + model.output_picks
     for attempt in range(50):
         K = rng.standard_normal((model.m - m_sub, model.n)) * 0.6**attempt
         G = rng.standard_normal((model.m - m_sub, m_sub))
@@ -247,7 +227,7 @@ def random_sub_behavior_model(
         C_s = np.vstack([K, model.C + model.D @ E_r @ K])
         D_s = np.vstack([G, model.D @ (E_s + E_r @ G)])
         try:
-            return StateSpaceModel(*observable_realization(A_s, B_s, C_s, D_s), partition)
+            return StateSpaceModel(*observable_realization(A_s, B_s, C_s, D_s), ins, outs)
         except MinimalityError:
             continue
     raise GenerationError("no minimal sub-behavior after 50 draws")

@@ -23,12 +23,25 @@ coordinate projection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import lti_core
 from .errors import DimensionError, HorizonError
-from .signal import Partition, Trajectory, arrange_by_partition, channel_rows, hankel_image, is_gpe
+from .signal import (
+    Partition,
+    Trajectory,
+    arrange_by_partition,
+    channel_rows,
+    hankel_image,
+    is_gpe,
+    is_integer,
+)
 from .subspace import BehaviorBasis, is_subspace_of, row_span
+
+
+def _require_integer(value, name: str) -> None:
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +50,8 @@ class InvariantBounds:
 
     m_*/n_* are input-count and order bounds used in the excitation rank
     tests; lag bounds the largest of the three lags entering the horizon
-    precondition (plant, reference, uncontrolled plant).
+    precondition (plant, reference, uncontrolled plant).  Each is a Python
+    or numpy integer: a bool or a float raises ValueError naming the field.
     """
 
     m_plant: int
@@ -47,8 +61,18 @@ class InvariantBounds:
     lag: int
 
     def __post_init__(self):
+        for f in fields(self):
+            _require_integer(getattr(self, f.name), f.name)
         if min(self.m_plant, self.n_plant, self.m_ref, self.n_ref, self.lag) < 0:
             raise ValueError("bounds must be nonnegative")
+
+
+def _check_channels(plant_q: int, ref_q: int, partition: Partition) -> None:
+    """The plant carries the partition's channels and the reference its w channels."""
+    if plant_q != partition.total:
+        raise DimensionError(f"plant has {plant_q} channels, partition {partition.total}")
+    if ref_q != partition.n_w:
+        raise DimensionError(f"reference has {ref_q} channels, expected {partition.n_w}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,11 +92,8 @@ class DataBundle:
 
     def __post_init__(self):
         p = self.partition
-        p.require_control_split()
-        if self.plant_traj.q != p.total:
-            raise DimensionError(f"plant has {self.plant_traj.q} channels, partition {p.total}")
-        if self.ref_traj.q != p.n_w:
-            raise DimensionError(f"reference has {self.ref_traj.q} channels, expected {p.n_w}")
+        _check_channels(self.plant_traj.q, self.ref_traj.q, p)
+        _require_integer(self.L, "L")
         if not 1 <= self.L <= min(self.plant_traj.T, self.ref_traj.T):
             raise ValueError(
                 f"L={self.L} outside [1, {min(self.plant_traj.T, self.ref_traj.T)}]"
@@ -149,7 +170,6 @@ def uncontrolled_basis(plant_traj: Trajectory, partition: Partition, L: int) -> 
     of `plant_traj` in its own order, so ``bundle.plant_traj`` goes with
     ``bundle.partition``.
     """
-    partition.require_control_split()
     U = hankel_image(plant_traj, L).basis
     return row_span(U, channel_rows(partition.picks_w, plant_traj.q, L))
 
@@ -211,15 +231,7 @@ def check_model(
     section at c = 0 and P_w the span of its w rows.  The horizon must
     exceed all three lags, which are computed from the models.
     """
-    wc_partition.require_control_split()
-    if plant.q != wc_partition.total:
-        raise DimensionError(
-            f"plant has {plant.q} channels, partition {wc_partition.total}"
-        )
-    if ref.q != wc_partition.n_w:
-        raise DimensionError(
-            f"reference has {ref.q} channels, expected {wc_partition.n_w}"
-        )
+    _check_channels(plant.q, ref.q, wc_partition)
     lag_needed = lti_core.horizon_lag(plant, wc_partition.picks_w, ref)
     if L <= lag_needed:
         raise HorizonError(f"L={L} must exceed the lag bound {lag_needed}")

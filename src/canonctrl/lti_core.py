@@ -1,11 +1,12 @@
 """State-space simulation and exact finite-horizon behavior oracles.
 
 Models here are the ground truth against which all data-driven
-representations are cross-checked: a minimal (A, B, C, D) realization plus a
-placement of its inputs/outputs in the full variable vector.  Restricted
+representations are cross-checked: a minimal (A, B, C, D) realization that
+places its own inputs and outputs in the full variable vector.  Restricted
 behaviors are built from n + m simulations, shifted by time invariance,
-never through kernel representations.  A simulation steps only the state
-sequentially; the input term `B u` and the outputs are whole-array products.
+never through kernel representations; their dimension m L + rank O_L is
+read off the model.  A simulation steps only the state sequentially; the
+input term `B u` and the outputs are whole-array products.
 :func:`hidden_restricted_basis` reads the hidden behavior off any orthonormal
 basis of a joint restricted behavior -- the oracle's window map image or the
 data route's Hankel image -- so both routes cut it with the one
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GenerationError, MinimalityError, NumericalDegeneracyError
-from .signal import Partition, Trajectory, channel_rows
+from .signal import Partition, Trajectory, channel_blocks, channel_rows
 from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, row_span, section
 
 
@@ -46,10 +47,10 @@ class IntegerInvariants:
 class StateSpaceModel:
     """Minimal realization sigma x = Ax + Bu, y = Cx + Du.
 
-    `partition` places the variables in the full q-channel vector: its first
-    block (picks_w slot) holds the input positions, its second block (picks_c
-    slot) the output positions.  Either block may be empty (autonomous
-    systems have no inputs, free systems no outputs).
+    `input_picks` and `output_picks` place the m inputs and p outputs in the
+    full q-channel vector, covering its channels once
+    (:func:`~canonctrl.signal.channel_blocks`).  Either may be empty
+    (autonomous systems have no inputs, free systems no outputs).
 
     The model holds read-only copies of its matrices, each in its exact
     shape (an empty block may come in any empty shape, as JSON writes it
@@ -65,13 +66,16 @@ class StateSpaceModel:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    partition: Partition
+    input_picks: tuple[int, ...]
+    output_picks: tuple[int, ...]
 
     def __post_init__(self):
+        picks = tuple(self.input_picks), tuple(self.output_picks)
+        m, p = map(len, picks)
+        for name, block in zip(("input_picks", "output_picks"), channel_blocks(m + p, *picks)):
+            object.__setattr__(self, name, block)
         A = _shaped(self.A, None, None, "A")
         n = A.shape[0]
-        m = len(self.partition.picks_w)
-        p = len(self.partition.picks_c)
         B = _shaped(self.B, n, m, "B")
         C = _shaped(self.C, p, n, "C")
         D = _shaped(self.D, p, m, "D")
@@ -98,14 +102,6 @@ class StateSpaceModel:
     @property
     def q(self) -> int:
         return self.m + self.p
-
-    @property
-    def input_picks(self) -> tuple[int, ...]:
-        return self.partition.picks_w
-
-    @property
-    def output_picks(self) -> tuple[int, ...]:
-        return self.partition.picks_c
 
 
 def _shaped(M, rows: int | None, cols: int | None, name: str) -> np.ndarray:
@@ -234,8 +230,18 @@ def behavior_window_map(model: StateSpaceModel, L: int) -> np.ndarray:
 
 
 def restricted_behavior_basis(model: StateSpaceModel, L: int) -> BehaviorBasis:
-    """Orthonormal basis of the restricted behavior over horizon L (ambient qL)."""
-    return orthonormal_basis(behavior_window_map(model, L))
+    """Orthonormal basis of the restricted behavior over horizon L (ambient qL).
+
+    The window map [O_L | T_L] has rank m L + rank O_L: its input rows are
+    the free inputs, and its output rows hold O_L beside them.  So the basis
+    is that many leading left singular vectors of the map, and the only rank
+    decided is that of the pL x n matrix O_L (n from the lag on); no cutoff
+    is set on the map's own spectrum, whose smallest genuine singular value
+    a cutoff growing with n + mL would pass.
+    """
+    rank = model.m * L + DEFAULT_RANK_TOL.rank(observability_matrix(model.A, model.C, L))
+    U = np.linalg.svd(behavior_window_map(model, L), full_matrices=False)[0]
+    return BehaviorBasis(U[:, :rank].copy())
 
 
 def projected_restricted_basis(
@@ -259,7 +265,6 @@ def hidden_restricted_basis(U: BehaviorBasis, wc_partition: Partition, L: int) -
     the c rows (ambient |w| L).  U a vanishes on the c rows exactly when a is
     in ker U_c, so this is the :func:`~canonctrl.subspace.section` of U_w by U_c.
     """
-    wc_partition.require_control_split()
     if U.ambient_dim != wc_partition.total * L:
         raise DimensionError(
             f"basis ambient {U.ambient_dim} != {wc_partition.total} channels x L={L}"
@@ -340,26 +345,15 @@ def product_model(first: StateSpaceModel, second: StateSpaceModel) -> StateSpace
     offset = first.q
     picks_u = first.input_picks + tuple(p + offset for p in second.input_picks)
     picks_y = first.output_picks + tuple(p + offset for p in second.output_picks)
-    return StateSpaceModel(
-        blkdiag(first.A, second.A),
-        blkdiag(first.B, second.B),
-        blkdiag(first.C, second.C),
-        blkdiag(first.D, second.D),
-        Partition(first.q + second.q, picks_u, picks_y),
-    )
+    blocks = [blkdiag(getattr(first, M), getattr(second, M)) for M in "ABCD"]
+    return StateSpaceModel(*blocks, picks_u, picks_y)
 
 
 def free_model(k: int) -> StateSpaceModel:
-    """Model of the totally free behavior on k channels (k inputs, no outputs)."""
+    """Model of the totally free behavior on k channels (k inputs, no outputs, no state)."""
     if k < 1:
         raise ValueError("free model needs k >= 1")
-    return StateSpaceModel(
-        np.zeros((0, 0)),
-        np.zeros((0, k)),
-        np.zeros((0, 0)),
-        np.zeros((0, k)),
-        Partition(k, tuple(range(1, k + 1)), ()),
-    )
+    return StateSpaceModel([], [], [], [], range(1, k + 1), ())
 
 
 #: draws `random_minimal_model` makes before it gives up
@@ -401,7 +395,7 @@ def random_minimal_model(
         if DEFAULT_RANK_TOL.rank(controllability_matrix(A, B)) != n:
             continue
         try:
-            model = StateSpaceModel(A, B, C, D, Partition(q_total, io_order[:m], io_order[m:]))
+            model = StateSpaceModel(A, B, C, D, io_order[:m], io_order[m:])
         except MinimalityError:
             continue
         return model, partition
@@ -431,11 +425,10 @@ def _require_numbers(value, name: str) -> None:
 
 
 def model_from_dict(d: dict) -> StateSpaceModel:
-    picks_u, picks_y = tuple(d["picks_w"]), tuple(d["picks_c"])
-    partition = Partition(len(picks_u) + len(picks_y), picks_u, picks_y)
+    """The model of :func:`model_to_dict`: picks_w holds its inputs and picks_c its outputs."""
     for name in "ABCD":
         _require_numbers(d[name], name)
-    return StateSpaceModel(d["A"], d["B"], d["C"], d["D"], partition)
+    return StateSpaceModel(d["A"], d["B"], d["C"], d["D"], d["picks_w"], d["picks_c"])
 
 
 def write_model_json(path, model: StateSpaceModel) -> None:

@@ -72,19 +72,38 @@ class Trajectory:
         return self.values.shape[1]
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool or a float (int() would truncate 2.7) is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def channel_blocks(total: int, picks_w, picks_c) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two disjoint blocks of channels that together cover {1, ..., total} exactly once.
+
+    The placement check of a :class:`Partition` and of a state-space
+    model's inputs and outputs (its JSON keys picks_w and picks_c); either
+    block may be empty here.  A channel that is not an integer
+    (:func:`is_integer`) raises PartitionError.
+    """
+    blocks = []
+    for name, picks in (("picks_w", tuple(picks_w)), ("picks_c", tuple(picks_c))):
+        if not all(map(is_integer, picks)):
+            raise PartitionError(f"{name} must hold integer channels, got {picks}")
+        blocks.append(tuple(int(i) for i in picks))
+    w, c = blocks
+    if sorted(w + c) != list(range(1, total + 1)):
+        raise PartitionError(f"picks {w} + {c} must partition 1..{total}")
+    return w, c
+
+
 @dataclass(frozen=True)
 class Partition:
-    """Ordered split of channels {1, ..., total} into two disjoint blocks.
+    """The control split: channels {1, ..., total} as to-be-controlled and control.
 
-    The two blocks cover every channel exactly once.  For plant data the
-    blocks are the to-be-controlled channels (picks_w) and the control
-    channels (picks_c); a state-space model reuses the same container to
-    place its inputs (picks_w slot) and outputs (picks_c slot) in the full
-    variable vector, and there a block may be empty (autonomous or free
-    systems).  Control splits must have both blocks nonempty; operations
-    that rely on that check it via `require_control_split`.  Channels are
-    Python or numpy integers: a float (int() would truncate 2.7) or a bool
-    raises PartitionError.
+    picks_w holds the to-be-controlled channels w and picks_c the control
+    channels c.  The blocks cover every channel exactly once
+    (:func:`channel_blocks`), and neither is empty, so every Partition is a
+    control split and no operation checks it again.
     """
 
     total: int
@@ -92,20 +111,11 @@ class Partition:
     picks_c: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("picks_w", "picks_c"):
-            picks = tuple(getattr(self, name))
-            if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in picks):
-                raise PartitionError(f"{name} must hold integer channels, got {picks}")
-            object.__setattr__(self, name, tuple(int(i) for i in picks))
-        all_picks = self.picks_w + self.picks_c
-        if sorted(all_picks) != list(range(1, self.total + 1)):
-            raise PartitionError(
-                f"picks {self.picks_w} + {self.picks_c} must partition 1..{self.total}"
-            )
-
-    def require_control_split(self) -> None:
-        if not self.picks_w or not self.picks_c:
+        picks_w, picks_c = channel_blocks(self.total, self.picks_w, self.picks_c)
+        if not picks_w or not picks_c:
             raise PartitionError("control split needs both picks_w and picks_c nonempty")
+        object.__setattr__(self, "picks_w", picks_w)
+        object.__setattr__(self, "picks_c", picks_c)
 
     @property
     def n_w(self) -> int:
@@ -180,7 +190,6 @@ def arrange_by_partition(w: Trajectory, partition: Partition) -> Trajectory:
 
     Channels already in that order return w itself, with its stored factorizations.
     """
-    partition.require_control_split()
     if w.q != partition.total:
         raise DimensionError(f"trajectory has {w.q} channels, partition {partition.total}")
     order = partition.picks_w + partition.picks_c

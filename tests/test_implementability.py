@@ -73,6 +73,7 @@ class TestHiddenBasis:
 
     def test_partition_required(self, static_case):
         _, _, data = static_case
+        # an empty block is no control split, so no such Partition reaches hidden_basis
         with pytest.raises(PartitionError):
             hidden_basis(data, Partition(2, (), (1, 2)), 2)
 
@@ -256,7 +257,8 @@ class TestCheckModel:
             np.zeros((1, 0)),
             np.array([[1.0]]),
             np.zeros((1, 0)),
-            Partition(1, (), (1,)),
+            (),
+            (1,),
         )
         verdict = check_model(plant, partition, constants, 2)
         assert verdict.implementable
@@ -363,6 +365,33 @@ class TestVerdictSerialization:
 
 
 class TestBundleValidation:
+    def test_fractional_bound_rejected(self):
+        # the rank target m L + 0.5 is never an integer, so the reference
+        # excitation test could only fail: the verdict was a silent negative
+        with pytest.raises(ValueError, match="n_ref must be an integer"):
+            InvariantBounds(1, 0, 0, 0.5, 0)
+
+    @pytest.mark.parametrize("field", ["m_plant", "n_plant", "m_ref", "n_ref", "lag"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_bound_rejected(self, field, value):
+        values = dict(m_plant=1, n_plant=0, m_ref=0, n_ref=1, lag=0)
+        values[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            InvariantBounds(**values)
+
+    def test_numpy_integer_bounds_and_horizon_accepted(self, static_case, decay_ref):
+        _, partition, data = static_case
+        _, ref_data = decay_ref
+        bounds = InvariantBounds(*np.array([1, 0, 0, 1, 0]))
+        bundle = DataBundle(data, ref_data, np.int64(2), partition, bounds)
+        assert check_data(bundle).implementable
+
+    def test_fractional_horizon_rejected(self, static_case, decay_ref):
+        _, partition, data = static_case
+        _, ref_data = decay_ref
+        with pytest.raises(ValueError, match="L must be an integer"):
+            DataBundle(data, ref_data, 2.0, partition, InvariantBounds(1, 0, 0, 1, 0))
+
     def test_channel_counts(self, static_case, decay_ref):
         _, partition, data = static_case
         _, ref_data = decay_ref
@@ -581,11 +610,12 @@ class TestRankDriftWithHorizon:
     default_rng(6) (``long_data_draw(0, T, L, seed=6)``) has a reference
     implementable by construction.  Its depth-L window map is qL x (n + mL),
     and its smallest singular value stays at 1.78-1.81e-8 sigma_max at every
-    L.  The rank cutoff
-    1e-10 sigma_max min(shape) grows with n + mL: 5.5e-9 at L = 14, 1.93e-8
-    at L = 60.  So at L = 60 the reference loses a dimension (rank 192 of
-    193), the hidden behavior no longer fits in it (residual 4.9e-4), and
-    check_model reports a false negative.
+    L.  A rank cutoff 1e-10 sigma_max min(shape) on that map grows with
+    n + mL: 5.5e-9 at L = 14, 1.93e-8 at L = 60.  So at L = 60 it cut a
+    genuine direction (rank 192 of 193), the hidden behavior no longer fit
+    in the reference (residual 4.9e-4), and check_model reported a false
+    negative.  The oracle now keeps m L + rank O_L directions, read off the
+    model, at every L.
     """
 
     @pytest.fixture(scope="class")
@@ -599,35 +629,15 @@ class TestRankDriftWithHorizon:
         verdict = check_model(plant, partition, ref, L)
         assert verdict.implementable and verdict.rank_ref == ref.n + ref.m * L
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the rank cutoff scales with min(shape) = n + mL and passes the reference "
-        "window map's smallest singular value (1.78e-8 sigma_max) between L = 30 and "
-        "L = 60, so the oracle drops a genuine reference direction (ROADMAP aim 3)",
-    )
     def test_implementable_at_benchmark_horizon(self, draw):
         plant, partition, ref = draw
         verdict = check_model(plant, partition, ref, 60)
         assert verdict.implementable, verdict.to_dict()
+        assert verdict.rank_ref == ref.n + ref.m * 60
 
 
 #: The long-draw set: draw j of seed s is long_data_draw(j, 8000, 60, seed=s).
 LONG_DRAW_SET = [(s, j) for s in range(10) for j in range(2)]
-
-_REF_RANK_DRIFT = (
-    "the oracle's reference window map keeps 192 of its 193 directions, as the rank cutoff "
-    "grows with n + mL, so the hidden behavior leaves the reference (ROADMAP item 8)"
-)
-
-#: (s, j) -> why the oracle verdict is a false negative
-ORACLE_FALSE_NEGATIVES = {
-    (2, 0): _REF_RANK_DRIFT,
-    (3, 1): _REF_RANK_DRIFT,
-    (6, 0): _REF_RANK_DRIFT,
-    (8, 0): _REF_RANK_DRIFT,
-}
-
 
 def _ref_excitation(rank):
     return (
@@ -671,7 +681,8 @@ class TestLongDrawSet:
     Seeds s = 0..9, draws j = 0, 1 of :func:`long_data_draw` at T = 8000,
     L = 60: twenty (4, 3, 12) plants with feedback references, each
     implementable by construction, so both verdicts must be implementable.
-    The false negatives that remain are strict xfails named by (s, j).
+    The oracle's are; the data false negatives that remain are strict xfails
+    named by (s, j).
     """
 
     T, L = 8000, 60
@@ -684,7 +695,7 @@ class TestLongDrawSet:
             out[s, j] = check_data(bundle), check_model(plant, partition, ref, self.L)
         return out
 
-    @pytest.mark.parametrize("s, j", _long_draw_params(ORACLE_FALSE_NEGATIVES))
+    @pytest.mark.parametrize("s, j", LONG_DRAW_SET)
     def test_oracle_verdict_implementable(self, verdicts, s, j):
         _, vm = verdicts[s, j]
         assert vm.implementable, vm.to_dict()

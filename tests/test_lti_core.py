@@ -10,6 +10,7 @@ from canonctrl.errors import (
     GenerationError,
     MinimalityError,
     NumericalDegeneracyError,
+    PartitionError,
 )
 from canonctrl.lti_core import (
     StateSpaceModel,
@@ -21,6 +22,7 @@ from canonctrl.lti_core import (
     observable_realization,
     model_from_dict,
     model_to_dict,
+    observability_matrix,
     product_model,
     projected_invariants,
     projected_restricted_basis,
@@ -30,8 +32,13 @@ from canonctrl.lti_core import (
     simulate,
     write_model_json,
 )
-from canonctrl.signal import Partition, Trajectory
-from canonctrl.subspace import DEFAULT_RANK_TOL, orthonormal_basis, subspaces_equal
+from canonctrl.signal import Trajectory
+from canonctrl.subspace import (
+    DEFAULT_ANGLE_TOL,
+    DEFAULT_RANK_TOL,
+    orthonormal_basis,
+    subspaces_equal,
+)
 
 from conftest import long_draw_models
 
@@ -43,7 +50,8 @@ def identity_model():
         np.zeros((0, 1)),
         np.zeros((1, 0)),
         np.array([[1.0]]),
-        Partition(2, (1,), (2,)),
+        (1,),
+        (2,),
     )
 
 
@@ -53,7 +61,8 @@ def integrator_model():
         np.array([[1.0]]),
         np.array([[1.0]]),
         np.array([[0.0]]),
-        Partition(2, (1,), (2,)),
+        (1,),
+        (2,),
     )
 
 
@@ -65,7 +74,8 @@ class TestStateSpaceModel:
                 np.ones((2, 1)),
                 np.array([[1.0, 0.0]]) * 0,
                 np.zeros((1, 1)),
-                Partition(2, (1,), (2,)),
+                (1,),
+                (2,),
             )
 
     def test_uncontrollable_but_observable_is_a_valid_behavior_model(self):
@@ -76,7 +86,8 @@ class TestStateSpaceModel:
             np.array([[1.0], [0.0]]),
             np.ones((1, 2)),
             np.zeros((1, 1)),
-            Partition(2, (1,), (2,)),
+            (1,),
+            (2,),
         )
         inv = invariants_of(model)
         assert inv.n_order == 2
@@ -94,12 +105,13 @@ class TestStateSpaceModel:
                 np.zeros((0, 1)),
                 np.zeros((1, 0)),
                 np.ones((2, 1)),
-                Partition(2, (1,), (2,)),
+                (1,),
+                (2,),
             )
 
     def test_holds_read_only_copies(self):
         A, B, C, D = np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]])
-        model = StateSpaceModel(A, B, C, D, Partition(2, (1,), (2,)))
+        model = StateSpaceModel(A, B, C, D, (1,), (2,))
         C[:] = 0.0  # would make (A, C) unobservable if the model shared it
         assert model.C[0, 0] == 1.0 and invariants_of(model).lag == 1
         for source, M in zip((A, B, C, D), (model.A, model.B, model.C, model.D)):
@@ -118,11 +130,44 @@ class TestStateSpaceModel:
     )
     def test_matrix_of_the_right_size_in_another_shape(self, B, C, message):
         with pytest.raises(DimensionError, match=message):
-            StateSpaceModel(np.diag([0.5, 0.3]), B, C, [[0.0]], Partition(2, (1,), (2,)))
+            StateSpaceModel(np.diag([0.5, 0.3]), B, C, [[0.0]], (1,), (2,))
 
     def test_empty_block_in_any_empty_shape(self):
-        model = StateSpaceModel([], [], [[]], [[1.0]], Partition(2, (1,), (2,)))
+        model = StateSpaceModel([], [], [[]], [[1.0]], (1,), (2,))
         assert model.A.shape == (0, 0) and model.B.shape == (0, 1) and model.C.shape == (1, 0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            harness.decaying_reference(),
+            StateSpaceModel([[0.5, 0.0], [0.0, 0.2]], np.zeros((2, 0)), np.eye(2), [], (), (2, 1)),
+            free_model(2),
+        ],
+        ids=["no-inputs", "no-inputs-two-outputs", "no-outputs"],
+    )
+    def test_empty_input_or_output_block(self, tmp_path, model):
+        # a model places its own channels: unlike a control split, a block may be empty
+        assert not model.input_picks or not model.output_picks
+        run = harness.plant_data(model, 6, seed=3)
+        assert run.q == model.q and run.T == 6
+        path = tmp_path / "model.json"
+        write_model_json(path, model)
+        back = read_model_json(path)
+        assert (back.input_picks, back.output_picks) == (model.input_picks, model.output_picks)
+        assert np.array_equal(harness.plant_data(back, 6, seed=3).values, run.values)
+
+    @pytest.mark.parametrize(
+        "inputs, outputs, message",
+        [
+            ((1,), (3,), "must partition 1..2"),
+            ((1,), (1,), "must partition 1..2"),
+            ((1.0,), (2,), "picks_w must hold integer channels"),
+            ((1,), (True,), "picks_c must hold integer channels"),
+        ],
+    )
+    def test_placement_checked_as_a_partition_is(self, inputs, outputs, message):
+        with pytest.raises(PartitionError, match=message):
+            StateSpaceModel([[0.5]], [[1.0]], [[1.0]], [[0.0]], inputs, outputs)
 
 
 def stepwise_simulate(model, U, x0):
@@ -241,7 +286,8 @@ class TestInvariants:
                         gen.standard_normal((3, 1)),
                         gen.standard_normal((1, 3)),
                         gen.standard_normal((1, 1)),
-                        Partition(2, (1,), (2,)),
+                        (1,),
+                        (2,),
                     )
                     break
                 except MinimalityError:
@@ -294,6 +340,38 @@ class TestRestrictedBasis:
             for L in (inv.lag + 1, inv.lag + 2):
                 assert restricted_behavior_basis(model, L).dim == inv.m_inputs * L + inv.n_order
 
+    @staticmethod
+    def _dimension_cases():
+        """Random minimal models, and the m = 0 and n = 0 fixtures, at L from 1 to past the lag."""
+        models = [random_minimal_model(1 + s % 3, 1 + s % 2, s % 6, seed=s)[0] for s in range(30)]
+        models += [harness.decaying_reference(), free_model(2)]
+        for model in models:
+            for L in range(1, invariants_of(model).lag + 3):
+                yield model, L
+
+    def test_dimension_is_read_off_the_model(self):
+        # the window map's input rows are free and its output rows hold O_L,
+        # so its rank is m L + rank O_L at every L, below the lag too
+        for model, L in self._dimension_cases():
+            M = behavior_window_map(model, L)
+            O_L = observability_matrix(model.A, model.C, L)
+            expected = model.m * L + np.linalg.matrix_rank(O_L)
+            basis = restricted_behavior_basis(model, L)
+            assert basis.dim == expected == np.linalg.matrix_rank(M), (model.n, model.m, L)
+            assert np.allclose(basis.basis.T @ basis.basis, np.eye(basis.dim))
+            assert np.linalg.norm(M - basis.basis @ (basis.basis.T @ M)) < 1e-10 * np.linalg.norm(M)
+
+    def test_equals_the_cut_basis_where_the_cut_keeps_as_many(self):
+        compared = 0
+        for model, L in self._dimension_cases():
+            new = restricted_behavior_basis(model, L)
+            cut = orthonormal_basis(behavior_window_map(model, L))
+            if cut.dim == new.dim:
+                ok, angle = subspaces_equal(new, cut, DEFAULT_ANGLE_TOL)
+                assert ok, (model.n, model.m, L, angle)
+                compared += 1
+        assert compared >= 100
+
     def test_window_map_shape(self):
         M = behavior_window_map(integrator_model(), 3)
         assert M.shape == (6, 4)
@@ -330,7 +408,8 @@ class TestRandomModel:
         m2, p2 = random_minimal_model(2, 1, 3, seed=42)
         assert np.array_equal(m1.A, m2.A) and np.array_equal(m1.B, m2.B)
         assert np.array_equal(m1.C, m2.C) and np.array_equal(m1.D, m2.D)
-        assert p1 == p2 and m1.partition == m2.partition
+        assert p1 == p2 and m1.input_picks == m2.input_picks
+        assert m1.output_picks == m2.output_picks
 
     def test_always_minimal_and_stable(self):
         for seed in range(100):
@@ -370,7 +449,7 @@ class TestObservableRealization:
         C_big = np.hstack([model.C, np.zeros((p, 1))])
         Am, Bm, Cm, Dm = observable_realization(A_big, B_big, C_big, model.D)
         assert Am.shape == (n, n)
-        reduced = StateSpaceModel(Am, Bm, Cm, Dm, model.partition)
+        reduced = StateSpaceModel(Am, Bm, Cm, Dm, model.input_picks, model.output_picks)
         for L in (1, 3, 5):
             ok, angle = subspaces_equal(
                 restricted_behavior_basis(reduced, L),
@@ -525,7 +604,8 @@ class TestModelJson:
         back = read_model_json(path)
         assert np.allclose(back.A, model.A) and np.allclose(back.B, model.B)
         assert np.allclose(back.C, model.C) and np.allclose(back.D, model.D)
-        assert back.partition == model.partition
+        assert back.input_picks == model.input_picks
+        assert back.output_picks == model.output_picks
 
     def test_dict_fields(self):
         d = model_to_dict(identity_model())
@@ -560,7 +640,7 @@ class TestModelJson:
 
     def test_non_finite_matrix_rejected_by_the_model(self):
         with pytest.raises(ValueError, match="C has a non-finite entry"):
-            StateSpaceModel([[0.5]], [[1.0]], [[np.nan]], [[0.0]], Partition(2, (1,), (2,)))
+            StateSpaceModel([[0.5]], [[1.0]], [[np.nan]], [[0.0]], (1,), (2,))
 
     @pytest.mark.parametrize(
         "name, token",

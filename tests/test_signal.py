@@ -209,10 +209,11 @@ class TestPartition:
         assert part.picks_w == (3, 1) and part.picks_c == (2,)
         assert all(type(i) is int for i in part.picks_w + part.picks_c)
 
-    def test_empty_block_allowed_but_not_as_control_split(self):
-        part = Partition(2, (), (1, 2))
-        with pytest.raises(PartitionError):
-            part.require_control_split()
+    def test_empty_block_rejected(self):
+        # a Partition is a control split: it needs a w channel and a c channel
+        for picks_w, picks_c in (((), (1, 2)), ((1, 2), ())):
+            with pytest.raises(PartitionError, match="control split needs both"):
+                Partition(2, picks_w, picks_c)
 
     def test_channel_rows(self):
         rows = channel_rows((2,), q_total=3, L=2)
