@@ -33,7 +33,14 @@ import numpy as np
 
 from .errors import DimensionError
 from .implementability import DataBundle, reference_basis
-from .signal import Trajectory, channel_rows, hankel_image, read_float_rows, write_float_rows
+from .signal import (
+    Trajectory,
+    channel_rows,
+    hankel_image,
+    is_integer,
+    read_float_rows,
+    write_float_rows,
+)
 from .subspace import (
     BehaviorBasis,
     Projector,
@@ -302,14 +309,17 @@ def write_controller_csv(path, C: ControllerBasis) -> None:
 def read_controller_csv(path) -> ControllerBasis:
     """Read back a controller basis written by `write_controller_csv`; no rows: 0-dim.
 
-    The sidecar's `k` and `L` must be JSON integers (not true/false).
+    The sidecar is a JSON object whose `k` and `L` are integers (not true/false).
     """
     path = Path(path)
-    with open(path.with_suffix(".json"), encoding="utf-8") as f:
+    sidecar = path.with_suffix(".json")
+    with open(sidecar, encoding="utf-8") as f:
         meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: the sidecar must be a JSON object, got {type(meta).__name__}")
     k, L = meta["k"], meta["L"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (k, L)):
-        raise ValueError(f"{path.with_suffix('.json')}: k and L must be integers, got {k!r}, {L!r}")
+    if not (is_integer(k) and is_integer(L)):
+        raise ValueError(f"{sidecar}: k and L must be integers, got {k!r}, {L!r}")
     matrix = read_float_rows(path)
     if matrix.size == 0:
         matrix = np.zeros((k * L, 0))

@@ -426,8 +426,13 @@ def _require_numbers(value, name: str) -> None:
 
 def model_from_dict(d: dict) -> StateSpaceModel:
     """The model of :func:`model_to_dict`: picks_w holds its inputs and picks_c its outputs."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a model must be a JSON object, got {type(d).__name__}")
     for name in "ABCD":
         _require_numbers(d[name], name)
+    for name in ("picks_w", "picks_c"):
+        if not isinstance(d[name], list):
+            raise ValueError(f"{name} must be a JSON list of channels, got {d[name]!r}")
     return StateSpaceModel(d["A"], d["B"], d["C"], d["D"], d["picks_w"], d["picks_c"])
 
 

@@ -35,7 +35,7 @@ from .errors import DimensionError, NumericalDegeneracyError
 #: Default tolerance on principal angles when deciding subspace equality.
 DEFAULT_ANGLE_TOL = 1e-8
 
-#: Default tolerance for inclusion residuals.
+#: Tolerance of the fixed inclusion rule on residuals (see :func:`is_subspace_of`).
 DEFAULT_RESIDUAL_TOL = 1e-8
 
 

@@ -570,6 +570,14 @@ class TestControllerExport:
         with pytest.raises(ValueError, match="k and L must be integers"):
             read_controller_csv(path)
 
+    @pytest.mark.parametrize("sidecar", [[1, 2], 2, None])
+    def test_non_object_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "controller.csv"
+        path.write_text("1.0\n0.0\n")
+        (tmp_path / "controller.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="controller.json: the sidecar must be a JSON object"):
+            read_controller_csv(path)
+
     def test_empty_file_is_zero_dim_controller(self, tmp_path):
         ctrl = ControllerBasis(orthonormal_basis(np.zeros((4, 0))), 2, 2)
         path = tmp_path / "controller.csv"

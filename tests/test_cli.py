@@ -51,24 +51,6 @@ def check_args(paths, plant_key, lag, n_plant, extra=()):
     ]
 
 
-def write_static_config(tmp_path, fixtures, **overrides):
-    """A --config JSON holding the static-fixture check options, plus overrides."""
-    config = {
-        "plant": str(fixtures["static_data"]),
-        "ref": str(fixtures["ref"]),
-        "picks_w": "1",
-        "picks_c": "2",
-        "L": 2,
-        "lag_bound": 0,
-        "m_bound": "1,0",
-        "n_bound": "0,1",
-        **overrides,
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    return cfg_path
-
-
 class TestSimulate:
     def test_writes_expected_shape(self, tmp_path, fixtures, capsys):
         out = tmp_path / "sim.csv"
@@ -101,6 +83,17 @@ class TestSimulate:
             capsys,
         )
         assert code == 2 and "error" in err
+
+    def test_negative_seed_names_the_option(self, tmp_path, fixtures, capsys):
+        out = tmp_path / "x.csv"
+        code, stdout, err = run_cli(
+            ["simulate", "--model", str(fixtures["static_model"]),
+             "--T", "5", "--seed", "-1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 2 and stdout == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_missing_model_file(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -148,26 +141,22 @@ class TestCheck:
         assert code == 2 and stdout == ""
         assert "non-finite entry on line 6" in err
 
-    def test_config_file_supplies_defaults(self, tmp_path, fixtures, capsys):
-        cfg_path = write_static_config(tmp_path, fixtures)
-        code, stdout, _ = run_cli(["check", "--config", str(cfg_path)], capsys)
-        assert code == 0
-
-    def test_flags_override_config(self, tmp_path, fixtures, capsys):
-        cfg_path = write_static_config(tmp_path, fixtures)
-        # override the plant with the integrator dataset: verdict flips
-        code, _, _ = run_cli(
-            ["check", "--config", str(cfg_path),
-             "--plant", str(fixtures["integrator_data"]),
-             "--lag-bound", "1", "--n-bound", "1,1"],
-            capsys,
-        )
-        assert code == 1
+    def test_ref_zero_names_a_file(self, tmp_path, fixtures, capsys, monkeypatch):
+        # "0" is a file name, never file descriptor 0 (stdin)
+        monkeypatch.chdir(tmp_path)
+        args = check_args(fixtures, "static_data", 0, 0)
+        args[args.index("--ref") + 1] = "0"
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == "" and "'0'" in err
+        (tmp_path / "0").write_bytes(fixtures["ref"].read_bytes())
+        code, stdout, _ = run_cli(args, capsys)
+        expected = run_cli(check_args(fixtures, "static_data", 0, 0), capsys)
+        assert (code, stdout) == expected[:2] and code == 0
 
 
 class TestFixedTolerances:
-    """The inclusion and closed-loop tolerances are not options: no flag or
-    config key can move a verdict."""
+    """The inclusion and closed-loop tolerances are not options: no flag can
+    move a verdict."""
 
     @pytest.mark.parametrize(
         "command, plant_key, lag, n_plant, tol",
@@ -190,16 +179,6 @@ class TestFixedTolerances:
         assert code == 2 and stdout == "" and "--tol" in err
         assert not out.exists()
 
-    # "seeds" names an option of proptest, not of check
-    @pytest.mark.parametrize("key", ["tol", "picks-w", "seeds"])
-    def test_config_key_naming_no_option_is_an_input_error(
-        self, tmp_path, fixtures, capsys, key
-    ):
-        cfg_path = write_static_config(tmp_path, fixtures, **{key: 1})
-        code, stdout, err = run_cli(["check", "--config", str(cfg_path)], capsys)
-        assert code == 2 and stdout == ""
-        assert err.startswith("error:") and repr(key) in err
-
 
 class TestMalformedInputs:
     """Wrongly typed inputs are input errors (exit 2), never a definite negative."""
@@ -209,69 +188,51 @@ class TestMalformedInputs:
         assert code == 2 and stdout == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("command", ["check", "synth"])
-    def test_list_valued_horizon_in_config(self, tmp_path, fixtures, capsys, command):
-        cfg_path = write_static_config(tmp_path, fixtures, L=[1])
-        extra = ["--out", str(tmp_path / "controller.csv")] if command == "synth" else []
-        self.assert_input_error([command, "--config", str(cfg_path), *extra], capsys)
-
-    # each value would run truncated: L = 2, L = 1, lag 0, channel 1, bounds (0, 1)
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("L", 2.9),
-            ("L", True),
-            ("L", "2.5"),
-            ("lag_bound", False),
-            ("picks_w", [1.7]),
-            ("picks_w", ["1"]),
-            ("picks_c", 2.0),
-            ("m_bound", [1, 0.0]),
-            ("n_bound", [0.0, 1.9]),
-            ("n_bound", "0,1.9"),
-        ],
-    )
-    def test_non_integer_config_number(self, tmp_path, fixtures, capsys, key, value):
-        cfg_path = write_static_config(tmp_path, fixtures, **{key: value})
-        code, stdout, err = run_cli(["check", "--config", str(cfg_path)], capsys)
-        assert code == 2 and stdout == ""
-        assert err.startswith("error:") and repr(key) in err
-
-    # {"ref": 0} would open file descriptor 0 and read the reference from stdin
-    @pytest.mark.parametrize(
-        "command, key",
-        [
-            ("check", "plant"),
-            ("check", "ref"),
-            ("synth", "out"),
-            ("simulate", "model"),
-            ("simulate", "out"),
-        ],
-    )
-    @pytest.mark.parametrize("value", [0, 1.5, True, [], {}])
-    def test_non_string_config_path(self, tmp_path, fixtures, capsys, command, key, value):
-        if command == "simulate":
-            config = {"model": str(fixtures["static_model"]), "T": 5, "out": "x.csv", key: value}
-            cfg_path = tmp_path / "sim.json"
-            cfg_path.write_text(json.dumps(config))
-        else:
-            cfg_path = write_static_config(tmp_path, fixtures, **{key: value})
-        code, stdout, err = run_cli([command, "--config", str(cfg_path)], capsys)
-        assert code == 2 and stdout == ""
-        assert err == f"error: option {key!r} takes a path string, got {value!r}\n"
-
     @pytest.mark.parametrize(
         "flag, value",
-        [("--L", "2.5"), ("--lag-bound", "x"), ("--L", ""), ("--L", "1e1")],
+        [
+            ("--L", "2.5"),
+            ("--lag-bound", "x"),
+            ("--L", ""),
+            ("--L", "1e1"),
+            ("--picks-w", "1.7"),
+            ("--picks-c", "2.0"),
+            ("--m-bound", "1,0.0"),
+            ("--n-bound", "0,1.9"),
+        ],
     )
     def test_non_integer_flag(self, fixtures, capsys, flag, value):
         # argparse collects the string; the one integer parser rejects it
+        # (in a comma list, the entry it rejects: the last one in each case here)
         args = check_args(fixtures, "static_data", 0, 0)
         args[args.index(flag) + 1] = value
         code, stdout, err = run_cli(args, capsys)
         name = flag[2:].replace("-", "_")
+        rejected = value.split(",")[-1]
         assert code == 2 and stdout == ""
-        assert err == f"error: option {name!r} takes integers, got {value!r}\n"
+        assert err == f"error: option {name!r} takes integers, got {rejected!r}\n"
+
+    def test_non_integer_proptest_seeds_flag(self, capsys):
+        # a fractional count is rejected, never truncated to 2 cases
+        code, stdout, err = run_cli(["proptest", "--seeds", "2.7"], capsys)
+        assert code == 2 and stdout == ""
+        assert err == "error: option 'seeds' takes integers, got '2.7'\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "synth", "proptest"])
+    def test_config_flag_is_a_usage_error(self, tmp_path, fixtures, capsys, command):
+        # every option comes from its own flag; there is no options file
+        out = tmp_path / "out.csv"
+        args = {
+            "simulate": ["simulate", "--model", str(fixtures["static_model"]),
+                         "--T", "5", "--out", str(out)],
+            "check": check_args(fixtures, "static_data", 0, 0),
+            "synth": ["synth", *check_args(fixtures, "static_data", 0, 0)[1:],
+                      "--out", str(out)],
+            "proptest": ["proptest", "--seeds", "1"],
+        }[command]  # fmt: skip
+        code, stdout, err = run_cli([*args, "--config", "x.json"], capsys)
+        assert code == 2 and stdout == "" and "--config" in err
+        assert not out.exists()
 
     def test_non_integer_flag_bound(self, fixtures, capsys):
         args = check_args(fixtures, "static_data", 0, 0)
@@ -279,27 +240,6 @@ class TestMalformedInputs:
         code, stdout, err = run_cli(args, capsys)
         assert code == 2 and stdout == ""
         assert err.startswith("error:") and "'m_bound'" in err
-
-    def test_integer_config_spellings_match_flags(self, tmp_path, fixtures, capsys):
-        # JSON integers, lists of them and strings the flags take read alike
-        code, expected, _ = run_cli(check_args(fixtures, "static_data", 0, 0), capsys)
-        assert code == 0
-        for overrides in (
-            {},
-            {"L": "2", "lag_bound": "0", "picks_w": 1, "picks_c": [2]},
-            {"m_bound": [1, 0], "n_bound": [0, 1]},
-        ):
-            cfg_path = write_static_config(tmp_path, fixtures, **overrides)
-            code, stdout, _ = run_cli(["check", "--config", str(cfg_path)], capsys)
-            assert code == 0 and stdout == expected, overrides
-
-    def test_non_integer_proptest_seeds_in_config(self, tmp_path, capsys):
-        # {"seeds": 2.7} would run 2 cases
-        cfg_path = tmp_path / "prop.json"
-        cfg_path.write_text(json.dumps({"seeds": 2.7}))
-        code, stdout, err = run_cli(["proptest", "--config", str(cfg_path)], capsys)
-        assert code == 2 and stdout == ""
-        assert err.startswith("error:") and "'seeds'" in err
 
     @pytest.mark.parametrize(
         "key, value", [("picks_w", [2.7]), ("picks_c", [1.9]), ("picks_c", [True])]
@@ -325,10 +265,12 @@ class TestMalformedInputs:
     def test_malformed_model_json(self, tmp_path, capsys, payload):
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
-        self.assert_input_error(
-            ["simulate", "--model", str(model), "--T", "5", "--out", str(tmp_path / "x.csv")],
-            capsys,
-        )
+        args = ["simulate", "--model", str(model), "--T", "5", "--out", str(tmp_path / "x.csv")]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        # the message names what is wrong: the top level, or the key
+        named = "picks_w" if isinstance(payload, dict) else "JSON object"
+        assert err.startswith("error:") and named in err
 
 
 class TestSynth:

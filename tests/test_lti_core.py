@@ -638,6 +638,19 @@ class TestModelJson:
         with pytest.raises(ValueError, match=message):
             model_from_dict(d)
 
+    @pytest.mark.parametrize("name", ["picks_w", "picks_c"])
+    @pytest.mark.parametrize("value", [2, None, 2.0, "1"])
+    def test_non_list_picks_named(self, name, value):
+        d = model_to_dict(integrator_model())
+        d[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be a JSON list"):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize("payload", [[1, 2], 3, None, "model"])
+    def test_non_object_rejected(self, payload):
+        with pytest.raises(ValueError, match="a model must be a JSON object"):
+            model_from_dict(payload)
+
     def test_non_finite_matrix_rejected_by_the_model(self):
         with pytest.raises(ValueError, match="C has a non-finite entry"):
             StateSpaceModel([[0.5]], [[1.0]], [[np.nan]], [[0.0]], (1,), (2,))
