@@ -199,16 +199,17 @@ class TestMalformedInputs:
             ("--picks-c", "2.0"),
             ("--m-bound", "1,0.0"),
             ("--n-bound", "0,1.9"),
+            ("--n-bound", "0.0,1.9"),
         ],
     )
     def test_non_integer_flag(self, fixtures, capsys, flag, value):
         # argparse collects the string; the one integer parser rejects it
-        # (in a comma list, the entry it rejects: the last one in each case here)
+        # (in a comma list, the first entry that is not an integer)
         args = check_args(fixtures, "static_data", 0, 0)
         args[args.index(flag) + 1] = value
         code, stdout, err = run_cli(args, capsys)
         name = flag[2:].replace("-", "_")
-        rejected = value.split(",")[-1]
+        rejected = next(v for v in value.split(",") if not v.lstrip("-").isdigit())
         assert code == 2 and stdout == ""
         assert err == f"error: option {name!r} takes integers, got {rejected!r}\n"
 
