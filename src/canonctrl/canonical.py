@@ -39,6 +39,7 @@ from .signal import (
     hankel_image,
     is_integer,
     read_float_rows,
+    read_json_object,
     write_float_rows,
 )
 from .subspace import (
@@ -309,14 +310,12 @@ def write_controller_csv(path, C: ControllerBasis) -> None:
 def read_controller_csv(path) -> ControllerBasis:
     """Read back a controller basis written by `write_controller_csv`; no rows: 0-dim.
 
-    The sidecar is a JSON object whose `k` and `L` are integers (not true/false).
+    The sidecar is a JSON object whose `k` and `L` are integers (not true/false);
+    invalid JSON and a missing key are errors naming the sidecar.
     """
     path = Path(path)
     sidecar = path.with_suffix(".json")
-    with open(sidecar, encoding="utf-8") as f:
-        meta = json.load(f)
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar}: the sidecar must be a JSON object, got {type(meta).__name__}")
+    meta = read_json_object(sidecar, ("k", "L"), "the sidecar")
     k, L = meta["k"], meta["L"]
     if not (is_integer(k) and is_integer(L)):
         raise ValueError(f"{sidecar}: k and L must be integers, got {k!r}, {L!r}")

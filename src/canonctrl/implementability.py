@@ -32,6 +32,7 @@ from .signal import (
     Trajectory,
     arrange_by_partition,
     channel_rows,
+    excitation_target,
     hankel_image,
     is_gpe,
     is_integer,
@@ -201,14 +202,18 @@ def check_data(bundle: DataBundle) -> ImplementabilityVerdict:
     Requires invariant bounds in the bundle: the horizon must exceed the lag
     bound and the excitation rank tests need input/order bounds.  A failed
     excitation test is recorded in the verdict and forces a negative
-    decision (the inclusion residuals are still reported).  The bases come
-    first, so the excitation tests count singular values already stored.
+    decision (the inclusion residuals are still reported); an excitation
+    target no Hankel matrix of its shape can reach is an InfeasibleRankError
+    before anything is factored.  The bases come first, so the excitation
+    tests count singular values already stored.
     """
     if bundle.bounds is None:
         raise ValueError("check_data needs invariant bounds; refusing to guess")
     bounds = bundle.bounds
     if bundle.L <= bounds.lag:
         raise HorizonError(f"L={bundle.L} must exceed the lag bound {bounds.lag}")
+    excitation_target(bundle.plant_traj, bundle.L, bounds.m_plant, bounds.n_plant, "plant")
+    excitation_target(bundle.ref_traj, bundle.L, bounds.m_ref, bounds.n_ref, "reference")
     N = hidden_basis(bundle.plant_traj, bundle.partition, bundle.L)
     R = reference_basis(bundle.ref_traj, bundle.L)
     Pw = uncontrolled_basis(bundle.plant_traj, bundle.partition, bundle.L)

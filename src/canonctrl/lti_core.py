@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GenerationError, MinimalityError, NumericalDegeneracyError
-from .signal import Partition, Trajectory, channel_blocks, channel_rows
+from .signal import (
+    Partition,
+    Trajectory,
+    channel_blocks,
+    channel_rows,
+    read_json_object,
+    require_keys,
+)
 from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, row_span, section
 
 
@@ -402,6 +409,10 @@ def random_minimal_model(
     raise GenerationError(f"no minimal model found after {MODEL_DRAWS} draws")
 
 
+#: the keys of a model JSON, each required
+MODEL_KEYS = ("A", "B", "C", "D", "picks_w", "picks_c")
+
+
 def model_to_dict(model: StateSpaceModel) -> dict:
     return {
         "A": model.A.tolist(),
@@ -426,8 +437,7 @@ def _require_numbers(value, name: str) -> None:
 
 def model_from_dict(d: dict) -> StateSpaceModel:
     """The model of :func:`model_to_dict`: picks_w holds its inputs and picks_c its outputs."""
-    if not isinstance(d, dict):
-        raise ValueError(f"a model must be a JSON object, got {type(d).__name__}")
+    require_keys(d, MODEL_KEYS, "a model")
     for name in "ABCD":
         _require_numbers(d[name], name)
     for name in ("picks_w", "picks_c"):
@@ -443,5 +453,5 @@ def write_model_json(path, model: StateSpaceModel) -> None:
 
 
 def read_model_json(path) -> StateSpaceModel:
-    with open(path, encoding="utf-8") as f:
-        return model_from_dict(json.load(f))
+    """The model in a JSON file; invalid JSON and a missing key are errors naming the file."""
+    return model_from_dict(read_json_object(path, MODEL_KEYS, "the model"))

@@ -10,17 +10,21 @@ Conventions used everywhere in the package:
 A trajectory's samples are read-only, so a factorization of its Hankel
 matrix never goes stale: :func:`hankel_image` stores one with the
 trajectory, and every basis, rank and excitation test of the data route
-reads it, so a command factors each trajectory it reads once.
+reads it, so a command factors each trajectory it reads once, skipping
+the windows below the rounding floor (a decayed reference's silent tail).
 
 Trajectory and controller CSVs are read by :func:`read_float_rows`: numpy's
 C reader parses a well-formed file, and a line-by-line reader, which gives
 the same array bit for bit, reads any other file and gives every error.
+Model JSONs and controller sidecars are read by :func:`read_json_object`,
+whose every error names the file.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -34,7 +38,7 @@ _LINE_BREAKS = re.compile(r"[\r\n]*")
 
 
 class HankelImage(NamedTuple):
-    """The kept orthonormal image basis of a Hankel matrix and all its singular values."""
+    """The kept orthonormal image basis of H_L(w) and its factored windows' singular values."""
 
     basis: BehaviorBasis
     singular_values: np.ndarray
@@ -146,18 +150,57 @@ def hankel(w: Trajectory, L: int) -> np.ndarray:
     return windows.transpose(2, 1, 0).reshape(rows, -1)
 
 
+def _informative_windows(w: Trajectory, L: int) -> np.ndarray:
+    """H_L(w) without its smallest windows (columns) whose squared norms total <= eps^2 ||H||_F^2.
+
+    By Weyl's inequality they move no singular value by more than
+    eps ||H||_F <= eps sqrt(r) sigma_1, below the QR's own backward error.
+    The norms come from the samples scaled by the largest |entry| (no square
+    overflows or underflows), each window summed on its own (differences of
+    cumulative sums would cancel), and totalled in ascending order, so a
+    silent tail of zeros changes nothing at any T.  Nothing dropped: H itself.
+    """
+    H = hankel(w, L)
+    scaled = w.values / (np.abs(w.values).max() or 1.0)
+    norms = np.lib.stride_tricks.sliding_window_view((scaled**2).sum(axis=1), L).sum(axis=1)
+    order = np.argsort(norms, kind="stable")
+    total = np.cumsum(norms[order])
+    dropped = np.count_nonzero(total <= np.finfo(float).eps ** 2 * total[-1])
+    return H[:, np.sort(order[dropped:])] if dropped else H
+
+
 def hankel_image(w: Trajectory, L: int) -> HankelImage:
     """Orthonormal image basis and singular values of H_L(w), factored once.
 
-    The first call for L runs one thin SVD and stores the result in
+    The first call for L runs one thin SVD of the windows above the
+    rounding floor (:func:`_informative_windows`) and stores the result in
     `w.hankel_images`, so it lives exactly as long as w; the basis is a
-    read-only copy of the columns the package rank rule keeps.
+    read-only copy of the columns the package rank rule keeps, counted
+    against the full shape of H_L(w).
     """
     if L not in w.hankel_images:
-        basis, s = image_svd(hankel(w, L))
+        basis, s = image_svd(_informative_windows(w, L), shape=_hankel_shape(w, L))
         basis.basis.flags.writeable = False
         w.hankel_images[L] = HankelImage(basis, s)
     return w.hankel_images[L]
+
+
+def excitation_target(w: Trajectory, L: int, m_bound: int, n_bound: int, name="trajectory") -> int:
+    """The rank m_bound*L + n_bound an exciting H_L(w) has; nothing is factored.
+
+    A target above min(H shape) is an InfeasibleRankError naming the
+    trajectory (`name`) and the bounds.
+    """
+    if m_bound < 0 or n_bound < 0:
+        raise ValueError("bounds must be nonnegative")
+    shape = _hankel_shape(w, L)
+    target = m_bound * L + n_bound
+    if target > min(shape):
+        raise InfeasibleRankError(
+            f"{name} excitation target m*L + n = {m_bound}*{L} + {n_bound} = {target} "
+            f"exceeds min(H shape)={min(shape)} of its {shape[0]} x {shape[1]} Hankel matrix"
+        )
+    return target
 
 
 def is_gpe(w: Trajectory, L: int, m_bound: int, n_bound: int) -> tuple[bool, int]:
@@ -167,19 +210,14 @@ def is_gpe(w: Trajectory, L: int, m_bound: int, n_bound: int) -> tuple[bool, int
     the generating system; the achieved rank is returned for diagnostics.
     The rank counts the singular values :func:`hankel_image` stored for L
     with the package rank rule; with none stored, only singular values are
-    computed (so a trajectory tried and rejected pays for no image basis).
+    computed (so a trajectory tried and rejected pays for no image basis),
+    of the same windows and counted against the same full shape.
     """
-    if m_bound < 0 or n_bound < 0:
-        raise ValueError("bounds must be nonnegative")
+    target = excitation_target(w, L, m_bound, n_bound)
     shape = _hankel_shape(w, L)
-    target = m_bound * L + n_bound
-    if target > min(shape):
-        raise InfeasibleRankError(
-            f"target rank {target} exceeds min(H shape)={min(shape)}"
-        )
     stored = w.hankel_images.get(L)
     if stored is None:
-        achieved = DEFAULT_RANK_TOL.rank(hankel(w, L))
+        achieved = DEFAULT_RANK_TOL.rank(_informative_windows(w, L), shape)
     else:
         achieved = DEFAULT_RANK_TOL.count(stored.singular_values, shape)
     return achieved == target, achieved
@@ -328,6 +366,30 @@ def _read_line_by_line(path) -> np.ndarray:
         lineno = linenos[int(np.argmin(finite))]
         raise ValueError(f"{path}: non-finite entry on line {lineno}")
     return values
+
+
+def require_keys(d, keys: tuple[str, ...], what: str) -> dict:
+    """d itself, a JSON object (dict) holding each of `keys`; else a ValueError naming `what`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{what} has no key {missing[0]!r}")
+    return d
+
+
+def read_json_object(path, keys: tuple[str, ...], what: str) -> dict:
+    """The JSON object in the file at `path`, holding each of `keys` (:func:`require_keys`).
+
+    Every error names the file: text that is not JSON, another top-level
+    value, and a missing key.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            d = json.load(f)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    return require_keys(d, keys, f"{path}: {what}")
 
 
 def read_csv(path) -> Trajectory:

@@ -59,11 +59,11 @@ class RankTolerance:
         cutoff = self.tol_rel * max(s[0], scale or 0.0) * min(shape)
         return int(np.count_nonzero(s > cutoff))
 
-    def rank(self, M: np.ndarray) -> int:
+    def rank(self, M: np.ndarray, shape: tuple | None = None) -> int:
         M = np.asarray(M, dtype=float)
         if M.size == 0:
             return 0
-        return self.count(np.linalg.svd(_thin_factor(M), compute_uv=False), M.shape)
+        return self.count(np.linalg.svd(_thin_factor(M), compute_uv=False), shape or M.shape)
 
 
 #: The rank rule every rank decision of the package reads; it is not a parameter.
@@ -151,16 +151,20 @@ def orthonormal_basis(M: np.ndarray, *, scale: float | None = None) -> BehaviorB
 
 
 def image_svd(
-    M: np.ndarray, *, scale: float | None = None
+    M: np.ndarray, *, scale: float | None = None, shape: tuple | None = None
 ) -> tuple[BehaviorBasis, np.ndarray]:
-    """`orthonormal_basis(M, scale=scale)` and all singular values of M, from one SVD."""
+    """`orthonormal_basis(M, scale=scale)` and all singular values of M, from one SVD.
+
+    The rank rule counts against `shape`, that of the matrix M holds columns of
+    (M's own by default); :meth:`RankTolerance.rank` takes it too.
+    """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={M.ndim}")
     if M.size == 0:
         return BehaviorBasis(np.zeros((M.shape[0], 0))), np.zeros(0)
     U, s, _ = np.linalg.svd(_thin_factor(M), full_matrices=False)
-    return BehaviorBasis(U[:, : DEFAULT_RANK_TOL.count(s, M.shape, scale)].copy()), s
+    return BehaviorBasis(U[:, : DEFAULT_RANK_TOL.count(s, shape or M.shape, scale)].copy()), s
 
 
 def image_basis(P: Projector) -> BehaviorBasis:

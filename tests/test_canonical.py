@@ -570,6 +570,21 @@ class TestControllerExport:
         with pytest.raises(ValueError, match="k and L must be integers"):
             read_controller_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"L": 2}', "controller.json: the sidecar has no key 'k'"),
+            ('{"k": 1}', "controller.json: the sidecar has no key 'L'"),
+            ("{not json", "controller.json: not valid JSON"),
+        ],
+    )
+    def test_unreadable_sidecar_named(self, tmp_path, text, message):
+        path = tmp_path / "controller.csv"
+        path.write_text("1.0\n0.0\n")
+        (tmp_path / "controller.json").write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_controller_csv(path)
+
     @pytest.mark.parametrize("sidecar", [[1, 2], 2, None])
     def test_non_object_sidecar_rejected(self, tmp_path, sidecar):
         path = tmp_path / "controller.csv"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from canonctrl import canonical, harness, lti_core, signal
+from canonctrl import canonical, harness, implementability, lti_core, signal
 from canonctrl.cli import main
 from canonctrl.errors import NumericalDegeneracyError
 
@@ -272,6 +272,33 @@ class TestMalformedInputs:
         # the message names what is wrong: the top level, or the key
         named = "picks_w" if isinstance(payload, dict) else "JSON object"
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("key", ["picks_c", "A"])
+    def test_model_json_without_key(self, tmp_path, fixtures, capsys, key):
+        d = json.loads(fixtures["static_model"].read_text())
+        del d[key]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(d))
+        args = ["simulate", "--model", str(model), "--T", "5", "--out", str(tmp_path / "x.csv")]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"error: {model}: the model has no key '{key}'\n"
+
+    @pytest.mark.parametrize("m_bound, side", [("9,0", "plant"), ("1,30", "reference")])
+    def test_infeasible_excitation_target_named(
+        self, fixtures, capsys, monkeypatch, m_bound, side
+    ):
+        # the bounds are checked before anything is factored
+        def no_factorization(*args):
+            raise AssertionError("factored before the bounds were checked")
+
+        monkeypatch.setattr(implementability, "hankel_image", no_factorization)
+        args = check_args(fixtures, "static_data", 0, 0)
+        args[args.index("--m-bound") + 1] = m_bound
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {side} excitation target m*L + n = ")
+        assert "exceeds min(H shape)" in err
 
 
 class TestSynth:

@@ -646,6 +646,23 @@ class TestModelJson:
         with pytest.raises(ValueError, match=f"{name} must be a JSON list"):
             model_from_dict(d)
 
+    @pytest.mark.parametrize("key", ["A", "B", "C", "D", "picks_w", "picks_c"])
+    def test_missing_key_named_with_the_file(self, tmp_path, key):
+        d = model_to_dict(integrator_model())
+        del d[key]
+        with pytest.raises(ValueError, match=f"a model has no key '{key}'"):
+            model_from_dict(d)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=f"model.json: the model has no key '{key}'"):
+            read_model_json(path)
+
+    def test_invalid_json_named_with_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="model.json: not valid JSON"):
+            read_model_json(path)
+
     @pytest.mark.parametrize("payload", [[1, 2], 3, None, "model"])
     def test_non_object_rejected(self, payload):
         with pytest.raises(ValueError, match="a model must be a JSON object"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonctrl import signal
+from canonctrl import harness, signal
 from canonctrl.canonical import ControllerBasis, read_controller_csv, write_controller_csv
 from canonctrl.errors import DimensionError, InfeasibleRankError, PartitionError
 from canonctrl.signal import (
@@ -24,7 +24,16 @@ from canonctrl.signal import (
     write_csv,
     write_float_rows,
 )
-from canonctrl.subspace import orthonormal_basis
+from canonctrl.subspace import (
+    DEFAULT_ANGLE_TOL,
+    BehaviorBasis,
+    RankTolerance,
+    image_svd,
+    orthonormal_basis,
+    subspaces_equal,
+)
+
+from conftest import long_draw_models
 
 
 def scalar(*vals):
@@ -130,6 +139,96 @@ class TestHankelImage:
         extra_samples = (16000 - 4000) * q * 8
         assert abs(peaks[16000] - peaks[4000]) < extra_samples, peaks
         assert max(peaks.values()) < 3e6, peaks
+
+
+def decayed_draw_reference(T: int) -> Trajectory:
+    """The autonomous reference of the first (4, 3, 12) long draw, simulated with data seed 2.
+
+    Over 8000 samples most of its entries decay to exactly 0.
+    """
+    *_, ref = long_draw_models(0)
+    return harness.plant_data(ref, T, seed=2)
+
+
+def leading_zeros_then_decay(T: int) -> Trajectory:
+    """1000 zeros, then :func:`~canonctrl.harness.decaying_reference_data`.
+
+    The onset is an impulse response, so every window depth is excited: the
+    windows across it span all L dimensions.
+    """
+    decay = harness.decaying_reference_data(T - 1000).values
+    return Trajectory(np.vstack([np.zeros((1000, 1)), decay]))
+
+
+#: decayed trajectories at depth L, with bounds (m, n) whose m L + n is the rank of H_L
+DECAYED = {
+    "decaying_reference": (harness.decaying_reference_data, 60, (0, 1)),
+    "draw_reference": (decayed_draw_reference, 60, (0, 13)),
+    "leading_zeros": (leading_zeros_then_decay, 10, (1, 0)),
+}
+
+
+class TestNegligibleWindows:
+    """Hankel factorizations skip the windows below the rounding floor."""
+
+    @pytest.mark.parametrize("T, q, L", [(300, 3, 10), (2000, 2, 10)])
+    def test_no_negligible_window_factors_the_whole_matrix(self, rng, T, q, L):
+        # 2000 samples take the block-wise QR; either way the factorization is the parent's
+        w = Trajectory(rng.standard_normal((T, q)))
+        assert signal._informative_windows(w, L).shape[1] == T - L + 1
+        basis, s = image_svd(hankel(w, L))
+        image = hankel_image(w, L)
+        assert np.array_equal(image.basis.basis, basis.basis)
+        assert np.array_equal(image.singular_values, s)
+
+    @pytest.fixture(scope="class", params=list(DECAYED))
+    def decayed(self, request):
+        make, L, bounds = DECAYED[request.param]
+        return make(8000), L, bounds
+
+    def test_rank_and_basis_match_dense_svd(self, decayed):
+        w, L, (m, n) = decayed
+        H = hankel(w, L)
+        assert signal._informative_windows(w, L).shape[1] < H.shape[1] // 10
+        U, s, _ = np.linalg.svd(H, full_matrices=False)
+        rank = RankTolerance().count(s, H.shape)
+        assert rank == m * L + n
+        basis = hankel_image(Trajectory(w.values), L).basis  # a fresh factorization
+        assert basis.dim == rank
+        same, angle = subspaces_equal(basis, BehaviorBasis(U[:, :rank]), DEFAULT_ANGLE_TOL)
+        assert same, angle
+
+    def test_same_factorization_at_any_length(self, decayed):
+        # the silent tail beyond T = 2000 adds no window, so nothing changes, bit for bit
+        w, L, _ = decayed
+        short = hankel_image(Trajectory(w.values[:2000]), L)
+        long = hankel_image(Trajectory(w.values), L)
+        assert np.array_equal(short.basis.basis, long.basis.basis)
+        assert np.array_equal(short.singular_values, long.singular_values)
+
+    def test_gpe_rank_with_and_without_stored_image(self, decayed):
+        w, L, (m, n) = decayed
+        fresh = Trajectory(w.values)
+        unstored = is_gpe(fresh, L, m, n)
+        hankel_image(fresh, L)
+        assert is_gpe(fresh, L, m, n) == unstored == (True, m * L + n)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_keep_every_window(self, rng, scale):
+        # unscaled squares of these samples overflow to inf or underflow to 0
+        values = rng.standard_normal((500, 2))
+        w = Trajectory(scale * values)
+        L = 5
+        assert signal._informative_windows(w, L).shape[1] == 500 - L + 1
+        assert hankel_image(w, L).basis.dim == 2 * L
+        assert is_gpe(Trajectory(w.values), L, 2, 0) == (True, 2 * L)
+
+    def test_zero_trajectory_keeps_no_window(self):
+        w = Trajectory(np.zeros((50, 2)))
+        assert signal._informative_windows(w, 3).shape == (6, 0)
+        image = hankel_image(w, 3)
+        assert image.basis.basis.shape == (6, 0) and image.singular_values.size == 0
+        assert is_gpe(w, 3, 1, 0) == (False, 0)
 
 
 class TestGpe:
