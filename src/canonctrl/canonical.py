@@ -40,6 +40,7 @@ from .signal import (
     is_integer,
     read_float_rows,
     read_json_object,
+    require_count,
     write_float_rows,
 )
 from .subspace import (
@@ -69,8 +70,8 @@ class PermutationPlan:
     L: int
 
     def __post_init__(self):
-        if min(self.q, self.k, self.L) < 1:
-            raise ValueError("q, k, L must all be >= 1")
+        for name in ("q", "k", "L"):
+            require_count(getattr(self, name), name, 1)
 
     @property
     def ambient_dim(self) -> int:

@@ -65,12 +65,8 @@ def _print_json(payload: dict) -> None:
 
 def cmd_simulate(args) -> int:
     model = lti_core.read_model_json(args.model)
-    T = _opt(args, "T", _parse_int)
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    seed = _opt(args, "seed", _parse_int, default=0)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    T = signal.require_count(_opt(args, "T", _parse_int), "T", 1)
+    seed = signal.require_count(_opt(args, "seed", _parse_int, default=0), "seed")
     out = Path(args.out)
     traj = harness.plant_data(model, T, seed)
     signal.write_csv(out, traj)

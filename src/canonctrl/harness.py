@@ -24,7 +24,7 @@ from .lti_core import (
     random_minimal_model,
     simulate,
 )
-from .signal import Partition, Trajectory, is_gpe
+from .signal import Partition, Trajectory, is_gpe, require_count
 from .subspace import DEFAULT_RESIDUAL_TOL, subspaces_equal
 
 
@@ -57,9 +57,8 @@ def decaying_reference_data(T: int) -> Trajectory:
 def _random_run(model: StateSpaceModel, T: int, rng: np.random.Generator) -> Trajectory:
     """Simulation from a random x0 with a random input (drawn in that order)."""
     x0 = rng.standard_normal(model.n)
-    if model.m > 0:
-        return simulate(model, Trajectory(rng.standard_normal((T, model.m))), x0=x0)
-    return simulate(model, T=T, x0=x0)
+    U = rng.standard_normal((T, model.m))
+    return simulate(model, Trajectory(U) if model.m else None, x0=x0, T=T)
 
 
 def plant_data(model: StateSpaceModel, T: int, seed: int) -> Trajectory:
@@ -210,8 +209,7 @@ def random_sub_behavior_model(
     free inputs; every trajectory of the result is a trajectory of the
     original behavior.
     """
-    if not 0 <= m_sub <= model.m:
-        raise ValueError(f"m_sub must lie in [0, {model.m}]")
+    require_count(m_sub, "m_sub", 0, model.m)
     E_s = np.eye(model.m)[:, :m_sub]
     E_r = np.eye(model.m)[:, m_sub:]
     # channels: free inputs stay inputs; tied inputs and the original
@@ -247,8 +245,7 @@ class HarnessConfig:
 
     def __post_init__(self):
         for name, low in (("q_w_max", 1), ("q_c_max", 1), ("n_max", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            require_count(getattr(self, name), name, low)
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,12 +344,11 @@ def run_batch(
     """Alternate implementable/adversarial cases and collect a JSON-able report.
 
     `failure_counts` maps each check name to the number of cases failing it;
-    cases that raised count under "exception".
+    cases that raised count under "exception".  An error names the
+    `proptest` option: seeds for n_cases, seed for base_seed.
     """
-    if n_cases < 1:
-        raise ValueError(f"need at least one seed, got {n_cases}")
-    if base_seed < 0:
-        raise ValueError(f"base seed must be >= 0, got {base_seed}")
+    require_count(n_cases, "seeds", 1)
+    require_count(base_seed, "seed")
     results = []
     for i in range(n_cases):
         seed = base_seed + i

@@ -35,14 +35,9 @@ from .signal import (
     excitation_target,
     hankel_image,
     is_gpe,
-    is_integer,
+    require_count,
 )
 from .subspace import BehaviorBasis, is_subspace_of, row_span
-
-
-def _require_integer(value, name: str) -> None:
-    if not is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,9 @@ class InvariantBounds:
 
     m_*/n_* are input-count and order bounds used in the excitation rank
     tests; lag bounds the largest of the three lags entering the horizon
-    precondition (plant, reference, uncontrolled plant).  Each is a Python
-    or numpy integer: a bool or a float raises ValueError naming the field.
+    precondition (plant, reference, uncontrolled plant).  Each is a
+    nonnegative count (:func:`~canonctrl.signal.require_count`): a bool, a
+    float or a negative value raises ValueError naming the field.
     """
 
     m_plant: int
@@ -63,9 +59,7 @@ class InvariantBounds:
 
     def __post_init__(self):
         for f in fields(self):
-            _require_integer(getattr(self, f.name), f.name)
-        if min(self.m_plant, self.n_plant, self.m_ref, self.n_ref, self.lag) < 0:
-            raise ValueError("bounds must be nonnegative")
+            require_count(getattr(self, f.name), f.name)
 
 
 def _check_channels(plant_q: int, ref_q: int, partition: Partition) -> None:
@@ -94,11 +88,7 @@ class DataBundle:
     def __post_init__(self):
         p = self.partition
         _check_channels(self.plant_traj.q, self.ref_traj.q, p)
-        _require_integer(self.L, "L")
-        if not 1 <= self.L <= min(self.plant_traj.T, self.ref_traj.T):
-            raise ValueError(
-                f"L={self.L} outside [1, {min(self.plant_traj.T, self.ref_traj.T)}]"
-            )
+        require_count(self.L, "L", 1, min(self.plant_traj.T, self.ref_traj.T))
         in_order = Partition(p.total, range(1, p.n_w + 1), range(p.n_w + 1, p.total + 1))
         object.__setattr__(self, "plant_traj", arrange_by_partition(self.plant_traj, p))
         object.__setattr__(self, "partition", in_order)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .signal import (
     channel_blocks,
     channel_rows,
     read_json_object,
+    require_count,
     require_keys,
 )
 from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, row_span, section
@@ -36,7 +37,10 @@ from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, row_sp
 
 @dataclass(frozen=True)
 class IntegerInvariants:
-    """Structure integers of an LTI behavior: inputs, outputs, order, lag."""
+    """Structure integers of an LTI behavior: inputs, outputs, order, lag.
+
+    Each is a nonnegative count (:func:`~canonctrl.signal.require_count`).
+    """
 
     m_inputs: int
     p_outputs: int
@@ -44,8 +48,8 @@ class IntegerInvariants:
     lag: int
 
     def __post_init__(self):
-        if min(self.m_inputs, self.p_outputs, self.n_order, self.lag) < 0:
-            raise ValueError("invariants must be nonnegative")
+        for f in fields(self):
+            require_count(getattr(self, f.name), f.name)
         if self.lag > self.n_order:
             raise ValueError(f"lag {self.lag} exceeds order {self.n_order}")
 
@@ -159,10 +163,11 @@ def simulate(
 ) -> Trajectory:
     """Simulate the model, returning the full-variable trajectory.
 
-    For models with inputs, `u` drives the recursion and sets the length; an
-    autonomous model takes `T` instead.  x0 defaults to zero.  Only the state
-    recursion runs sample by sample; `B u` and the outputs `C x + D u` are
-    whole-array products over all T samples.
+    For models with inputs, `u` drives the recursion and sets the length (a
+    `T` given too must equal it); an autonomous model takes `T` instead.
+    x0 defaults to zero.  Only the state recursion runs sample by sample;
+    `B u` and the outputs `C x + D u` are whole-array products over all T
+    samples.
     """
     if model.m > 0:
         if u is None:
@@ -215,16 +220,13 @@ def behavior_window_map(model: StateSpaceModel, L: int) -> np.ndarray:
     samples, so its column is that response moved down (t - 1) q rows, above
     exact zeros.  This is the same matrix as one simulation per column.
     """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+    require_count(L, "L", 1)
     n, m, q = model.n, model.m, model.q
 
     def response(x0: np.ndarray, u0: np.ndarray) -> np.ndarray:
-        if m == 0:
-            return simulate(model, T=L, x0=x0).values.reshape(-1)
         U = np.zeros((L, m))
         U[0] = u0
-        return simulate(model, Trajectory(U), x0=x0).values.reshape(-1)
+        return simulate(model, Trajectory(U) if m else None, x0=x0, T=L).values.reshape(-1)
 
     M = np.zeros((q * L, n + m * L))
     for j, x0 in enumerate(np.eye(n)):
@@ -356,13 +358,6 @@ def product_model(first: StateSpaceModel, second: StateSpaceModel) -> StateSpace
     return StateSpaceModel(*blocks, picks_u, picks_y)
 
 
-def free_model(k: int) -> StateSpaceModel:
-    """Model of the totally free behavior on k channels (k inputs, no outputs, no state)."""
-    if k < 1:
-        raise ValueError("free model needs k >= 1")
-    return StateSpaceModel([], [], [], [], range(1, k + 1), ())
-
-
 #: draws `random_minimal_model` makes before it gives up
 MODEL_DRAWS = 1000
 
@@ -378,8 +373,9 @@ def random_minimal_model(
     Raises GenerationError if the minimality rejection loop exhausts its
     budget of :data:`MODEL_DRAWS` draws.
     """
-    if q_w < 1 or q_c < 1 or n < 0:
-        raise ValueError("need q_w >= 1, q_c >= 1, n >= 0")
+    require_count(q_w, "q_w", 1)
+    require_count(q_c, "q_c", 1)
+    require_count(n, "n")
     q_total = q_w + q_c
     rng = np.random.default_rng(seed)
     for _ in range(MODEL_DRAWS):

@@ -81,6 +81,22 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def require_count(value, name: str, low: int = 0, high: int | None = None):
+    """value itself, an integer (:func:`is_integer`) in [low, high], else a ValueError.
+
+    The one count rule: every count and horizon the package takes goes
+    through it, and its errors name the argument (`name`).  No upper limit
+    when `high` is None.
+    """
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name}={value} outside [{low}, {high}]")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 def channel_blocks(total: int, picks_w, picks_c) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two disjoint blocks of channels that together cover {1, ..., total} exactly once.
 
@@ -131,8 +147,7 @@ class Partition:
 
 
 def _hankel_shape(w: Trajectory, L: int) -> tuple[int, int]:
-    if not 1 <= L <= w.T:
-        raise ValueError(f"L={L} outside [1, {w.T}]")
+    require_count(L, "L", 1, w.T)
     return w.q * L, w.T - L + 1
 
 
@@ -191,8 +206,8 @@ def excitation_target(w: Trajectory, L: int, m_bound: int, n_bound: int, name="t
     A target above min(H shape) is an InfeasibleRankError naming the
     trajectory (`name`) and the bounds.
     """
-    if m_bound < 0 or n_bound < 0:
-        raise ValueError("bounds must be nonnegative")
+    require_count(m_bound, "m_bound")
+    require_count(n_bound, "n_bound")
     shape = _hankel_shape(w, L)
     target = m_bound * L + n_bound
     if target > min(shape):
@@ -208,18 +223,17 @@ def is_gpe(w: Trajectory, L: int, m_bound: int, n_bound: int) -> tuple[bool, int
 
     m_bound and n_bound are caller-supplied input-count and order bounds for
     the generating system; the achieved rank is returned for diagnostics.
-    The rank counts the singular values :func:`hankel_image` stored for L
-    with the package rank rule; with none stored, only singular values are
-    computed (so a trajectory tried and rejected pays for no image basis),
-    of the same windows and counted against the same full shape.
+    The rank is the dimension of the image :func:`hankel_image` stored for
+    L, which the package rank rule cut; with none stored, only singular
+    values are computed (so a trajectory tried and rejected pays for no
+    image basis), of the same windows and counted against the same full shape.
     """
     target = excitation_target(w, L, m_bound, n_bound)
-    shape = _hankel_shape(w, L)
     stored = w.hankel_images.get(L)
     if stored is None:
-        achieved = DEFAULT_RANK_TOL.rank(_informative_windows(w, L), shape)
+        achieved = DEFAULT_RANK_TOL.rank(_informative_windows(w, L), _hankel_shape(w, L))
     else:
-        achieved = DEFAULT_RANK_TOL.count(stored.singular_values, shape)
+        achieved = stored.basis.dim
     return achieved == target, achieved
 
 

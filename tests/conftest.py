@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from canonctrl import harness, signal
+from canonctrl.lti_core import StateSpaceModel
 from canonctrl.subspace import BehaviorBasis, orthonormal_basis, pinv_symmetric
 
 
@@ -41,6 +42,12 @@ def dense_controller_formula(P_r, P_p, plan) -> BehaviorBasis:
     Mr, Mp = P_r.matrix, P_p.matrix
     X = Mr @ pinv_symmetric(Mr + Mp) @ Mp
     return orthonormal_basis(X[plan.c_rows], scale=1.0)
+
+
+def free_model(k: int) -> StateSpaceModel:
+    """Model of the totally free behavior on k channels (k inputs, no outputs, no state)."""
+    signal.require_count(k, "k", 1)
+    return StateSpaceModel([], [], [], [], range(1, k + 1), ())
 
 
 def long_draw_models(index: int, seed: int = 0):

@@ -31,12 +31,7 @@ from canonctrl.implementability import (
     check_model,
     reference_basis,
 )
-from canonctrl.lti_core import (
-    free_model,
-    invariants_of,
-    product_model,
-    restricted_behavior_basis,
-)
+from canonctrl.lti_core import invariants_of, product_model, restricted_behavior_basis
 from canonctrl.signal import Trajectory, arrange_by_partition, channel_rows, hankel
 from canonctrl.subspace import (
     Projector,
@@ -47,7 +42,7 @@ from canonctrl.subspace import (
     projector_onto,
     subspaces_equal,
 )
-from conftest import dense_controller_formula
+from conftest import dense_controller_formula, free_model
 
 
 def line(*vals):

@@ -20,7 +20,7 @@ from canonctrl.implementability import (
     reference_basis,
     uncontrolled_basis,
 )
-from canonctrl.lti_core import free_model, horizon_lag, invariants_of
+from canonctrl.lti_core import horizon_lag, invariants_of
 from canonctrl.signal import (
     Partition,
     Trajectory,
@@ -30,7 +30,7 @@ from canonctrl.signal import (
 )
 from canonctrl.subspace import orthonormal_basis, principal_angles, subspaces_equal
 
-from conftest import long_draw_models
+from conftest import free_model, long_draw_models
 
 
 @pytest.fixture

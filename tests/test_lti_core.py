@@ -15,7 +15,6 @@ from canonctrl.errors import (
 from canonctrl.lti_core import (
     StateSpaceModel,
     behavior_window_map,
-    free_model,
     hidden_restricted_basis,
     horizon_lag,
     invariants_of,
@@ -40,7 +39,7 @@ from canonctrl.subspace import (
     subspaces_equal,
 )
 
-from conftest import long_draw_models
+from conftest import free_model, long_draw_models
 
 
 def identity_model():

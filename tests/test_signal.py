@@ -8,19 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonctrl import harness, signal
-from canonctrl.canonical import ControllerBasis, read_controller_csv, write_controller_csv
+from canonctrl import cli, harness, lti_core, signal
+from canonctrl.canonical import (
+    ControllerBasis,
+    PermutationPlan,
+    read_controller_csv,
+    write_controller_csv,
+)
 from canonctrl.errors import DimensionError, InfeasibleRankError, PartitionError
+from canonctrl.implementability import DataBundle, InvariantBounds
 from canonctrl.signal import (
     Partition,
     Trajectory,
     arrange_by_partition,
     channel_rows,
+    excitation_target,
     hankel,
     hankel_image,
     is_gpe,
     read_csv,
     read_float_rows,
+    require_count,
     write_csv,
     write_float_rows,
 )
@@ -72,6 +80,81 @@ class TestTrajectory:
         w = scalar(1, 2)
         with pytest.raises(ValueError):
             w.values[0, 0] = 5.0
+
+
+def _count_entry_points():
+    """(entry point, argument, call, low, high) for each count the library takes.
+
+    call(value, tmp_path) passes value as that argument, the others valid.
+    """
+    w = Trajectory(np.arange(20.0).reshape(10, 2))
+    r = Trajectory(np.arange(10.0).reshape(10, 1))
+    split = Partition(2, (1,), (2,))
+    integrator, _ = harness.integrator_plant()
+    rng = np.random.default_rng(0)
+
+    def simulate_flags(tmp_path, T="5", seed="0"):
+        model = tmp_path / "model.json"
+        lti_core.write_model_json(model, integrator)
+        argv = ["simulate", "--model", str(model), "--T", str(T), "--seed", str(seed)]
+        return cli.build_parser().parse_args([*argv, "--out", str(tmp_path / "x.csv")])
+
+    def keyword(make, valid: dict, name: str):
+        return lambda v, _: make(**{**valid, name: v})
+
+    yield "hankel", "L", lambda v, _: hankel(w, v), 1, w.T
+    yield "DataBundle", "L", lambda v, _: DataBundle(w, r, v, split, None), 1, w.T
+    target = dict(w=w, L=2, m_bound=0, n_bound=0)
+    for name in ("m_bound", "n_bound"):
+        yield "excitation_target", name, keyword(excitation_target, target, name), 0, None
+    bounds = dict(m_plant=1, n_plant=0, m_ref=0, n_ref=1, lag=0)
+    for name in bounds:
+        yield "InvariantBounds", name, keyword(InvariantBounds, bounds, name), 0, None
+    invariants = dict(m_inputs=1, p_outputs=1, n_order=2, lag=1)
+    for name in invariants:
+        call = keyword(lti_core.IntegerInvariants, invariants, name)
+        yield "IntegerInvariants", name, call, 0, None
+    call = keyword(lti_core.behavior_window_map, dict(model=integrator), "L")
+    yield "behavior_window_map", "L", call, 1, None
+    sizes = dict(q_w=1, q_c=1, n=0, seed=0)
+    for name, low in (("q_w", 1), ("q_c", 1), ("n", 0)):
+        call = keyword(lti_core.random_minimal_model, sizes, name)
+        yield "random_minimal_model", name, call, low, None
+    for name, low in (("q_w_max", 1), ("q_c_max", 1), ("n_max", 0)):
+        yield "HarnessConfig", name, keyword(harness.HarnessConfig, {}, name), low, None
+    call = keyword(harness.random_sub_behavior_model, dict(model=integrator, rng=rng), "m_sub")
+    yield "random_sub_behavior_model", "m_sub", call, 0, integrator.m
+    yield "run_batch", "seeds", lambda v, _: harness.run_batch(v), 1, None
+    yield "run_batch", "seed", lambda v, _: harness.run_batch(1, v), 0, None
+    plan = dict(q=1, k=1, L=2)
+    for name in plan:
+        yield "PermutationPlan", name, keyword(PermutationPlan, plan, name), 1, None
+    yield "cmd_simulate", "T", lambda v, p: cli.cmd_simulate(simulate_flags(p, T=v)), 1, None
+    yield "cmd_simulate", "seed", lambda v, p: cli.cmd_simulate(simulate_flags(p, seed=v)), 0, None
+
+
+def _bad_counts():
+    for entry, name, call, low, high in _count_entry_points():
+        values = [2.0, True, low - 1] + ([] if high is None else [high + 1])
+        for value in values:
+            yield pytest.param(call, name, value, id=f"{entry}-{name}-{value!r}")
+
+
+class TestCountRule:
+    def test_messages(self):
+        assert require_count(np.int64(3), "L", 1, 3) == 3
+        with pytest.raises(ValueError, match=r"^L must be an integer, got 2\.0$"):
+            require_count(2.0, "L", 1)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            require_count(-1, "seed")
+        with pytest.raises(ValueError, match=r"^L=4 outside \[1, 3\]$"):
+            require_count(4, "L", 1, 3)
+
+    @pytest.mark.parametrize("call, name, value", _bad_counts())
+    def test_entry_points_reject_bad_counts(self, call, name, value, tmp_path):
+        # a flag's string is read by int() first: "2.0" and "True" name the option there
+        with pytest.raises(ValueError, match=rf"^{name}\b|^option '{name}' takes integers"):
+            call(value, tmp_path)
 
 
 class TestHankel:
