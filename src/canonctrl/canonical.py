@@ -37,7 +37,6 @@ from .signal import (
     Trajectory,
     channel_rows,
     hankel_image,
-    is_integer,
     read_float_rows,
     read_json_object,
     require_count,
@@ -311,15 +310,13 @@ def write_controller_csv(path, C: ControllerBasis) -> None:
 def read_controller_csv(path) -> ControllerBasis:
     """Read back a controller basis written by `write_controller_csv`; no rows: 0-dim.
 
-    The sidecar is a JSON object whose `k` and `L` are integers (not true/false);
-    invalid JSON and a missing key are errors naming the sidecar.
+    The sidecar is a JSON object whose `k` and `L` are counts >= 1
+    (:func:`~canonctrl.signal.require_count`); every error names the sidecar.
     """
     path = Path(path)
     sidecar = path.with_suffix(".json")
     meta = read_json_object(sidecar, ("k", "L"), "the sidecar")
-    k, L = meta["k"], meta["L"]
-    if not (is_integer(k) and is_integer(L)):
-        raise ValueError(f"{sidecar}: k and L must be integers, got {k!r}, {L!r}")
+    k, L = (require_count(meta[key], f"{sidecar}: {key}", 1) for key in ("k", "L"))
     matrix = read_float_rows(path)
     if matrix.size == 0:
         matrix = np.zeros((k * L, 0))

@@ -65,7 +65,7 @@ def _print_json(payload: dict) -> None:
 
 def cmd_simulate(args) -> int:
     model = lti_core.read_model_json(args.model)
-    T = signal.require_count(_opt(args, "T", _parse_int), "T", 1)
+    T = _opt(args, "T", _parse_int)
     seed = signal.require_count(_opt(args, "seed", _parse_int, default=0), "seed")
     out = Path(args.out)
     traj = harness.plant_data(model, T, seed)

@@ -51,11 +51,12 @@ def decaying_reference() -> StateSpaceModel:
 
 def decaying_reference_data(T: int) -> Trajectory:
     """T samples of :func:`decaying_reference` from r(1) = 1: r(t) = 0.5^(t-1)."""
-    return Trajectory((0.5 ** np.arange(T)).reshape(-1, 1))
+    return Trajectory((0.5 ** np.arange(require_count(T, "T", 1))).reshape(-1, 1))
 
 
 def _random_run(model: StateSpaceModel, T: int, rng: np.random.Generator) -> Trajectory:
     """Simulation from a random x0 with a random input (drawn in that order)."""
+    require_count(T, "T", 1)
     x0 = rng.standard_normal(model.n)
     U = rng.standard_normal((T, model.m))
     return simulate(model, Trajectory(U) if model.m else None, x0=x0, T=T)

@@ -74,6 +74,9 @@ def _check_channels(plant_q: int, ref_q: int, partition: Partition) -> None:
 class DataBundle:
     """Measured plant and reference trajectories plus the test configuration.
 
+    The bounds are required and checked when the bundle is built, before
+    anything is factored: L must exceed the lag bound (HorizonError), and
+    each excitation target must fit its Hankel matrix (InfeasibleRankError).
     The plant is held in (w, c) order, with the in-order partition
     (1..n_w | n_w+1..total), so a check and a synthesis of the bundle share
     one plant trajectory and its stored factorization.
@@ -83,12 +86,16 @@ class DataBundle:
     ref_traj: Trajectory
     L: int
     partition: Partition
-    bounds: InvariantBounds | None = None
+    bounds: InvariantBounds
 
     def __post_init__(self):
-        p = self.partition
+        p, b = self.partition, self.bounds
         _check_channels(self.plant_traj.q, self.ref_traj.q, p)
         require_count(self.L, "L", 1, min(self.plant_traj.T, self.ref_traj.T))
+        if self.L <= b.lag:
+            raise HorizonError(f"L={self.L} must exceed the lag bound {b.lag}")
+        excitation_target(self.plant_traj, self.L, b.m_plant, b.n_plant, "plant")
+        excitation_target(self.ref_traj, self.L, b.m_ref, b.n_ref, "reference")
         in_order = Partition(p.total, range(1, p.n_w + 1), range(p.n_w + 1, p.total + 1))
         object.__setattr__(self, "plant_traj", arrange_by_partition(self.plant_traj, p))
         object.__setattr__(self, "partition", in_order)
@@ -189,21 +196,12 @@ def _verdict_from_bases(
 def check_data(bundle: DataBundle) -> ImplementabilityVerdict:
     """Decide implementability of the reference directly from trajectories.
 
-    Requires invariant bounds in the bundle: the horizon must exceed the lag
-    bound and the excitation rank tests need input/order bounds.  A failed
-    excitation test is recorded in the verdict and forces a negative
-    decision (the inclusion residuals are still reported); an excitation
-    target no Hankel matrix of its shape can reach is an InfeasibleRankError
-    before anything is factored.  The bases come first, so the excitation
+    The bundle is valid by construction (:class:`DataBundle`), so this only
+    computes.  A failed excitation test forces a negative decision (the
+    inclusion residuals are still reported); the bases come first, so those
     tests count singular values already stored.
     """
-    if bundle.bounds is None:
-        raise ValueError("check_data needs invariant bounds; refusing to guess")
     bounds = bundle.bounds
-    if bundle.L <= bounds.lag:
-        raise HorizonError(f"L={bundle.L} must exceed the lag bound {bounds.lag}")
-    excitation_target(bundle.plant_traj, bundle.L, bounds.m_plant, bounds.n_plant, "plant")
-    excitation_target(bundle.ref_traj, bundle.L, bounds.m_ref, bounds.n_ref, "reference")
     N = hidden_basis(bundle.plant_traj, bundle.partition, bundle.L)
     R = reference_basis(bundle.ref_traj, bundle.L)
     Pw = uncontrolled_basis(bundle.plant_traj, bundle.partition, bundle.L)

@@ -46,7 +46,7 @@ class HankelImage(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A length-T, q-channel real time series, stored as a (T, q) array.
+    """A length-T, q-channel time series of finite reals, stored as a (T, q) array.
 
     `hankel_images` holds the factorizations :func:`hankel_image` made of
     this trajectory's Hankel matrices, keyed by the depth L.
@@ -63,6 +63,9 @@ class Trajectory:
             raise DimensionError(f"trajectory array must be (T, q), got {v.shape}")
         if v.shape[0] < 1 or v.shape[1] < 1:
             raise DimensionError(f"trajectory needs T >= 1 and q >= 1, got {v.shape}")
+        if not np.isfinite(v).all():
+            t = np.flatnonzero(~np.isfinite(v).all(axis=1))[0] + 1
+            raise ValueError(f"trajectory sample {t} of {v.shape[0]} is not finite")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)

@@ -374,6 +374,7 @@ class TestSynthesize:
             harness.decaying_reference_data(40),
             2,
             partition,
+            InvariantBounds(1, 0, 0, 1, 0),
         )
         syn = synthesize(bundle)
         assert syn.report.verified
@@ -387,6 +388,7 @@ class TestSynthesize:
             harness.decaying_reference_data(40),
             2,
             partition,
+            InvariantBounds(1, 1, 0, 1, 1),
         )
         syn = synthesize(bundle)
         assert not syn.report.verified
@@ -562,7 +564,24 @@ class TestControllerExport:
         path = tmp_path / "controller.csv"
         path.write_text("1.0\n0.0\n")
         (tmp_path / "controller.json").write_text(json.dumps(sidecar))
-        with pytest.raises(ValueError, match="k and L must be integers"):
+        with pytest.raises(ValueError, match=r"controller\.json: (k|L) must be an integer, got"):
+            read_controller_csv(path)
+
+    @pytest.mark.parametrize(
+        "sidecar, rows, message",
+        [
+            # k * L = 2 matches the two rows, and k = 0 matches an empty file
+            ({"k": -1, "L": -2}, "1.0\n0.0\n", "k must be >= 1, got -1"),
+            ({"k": 1, "L": -2}, "1.0\n0.0\n", "L must be >= 1, got -2"),
+            ({"k": 0, "L": 5}, "", "k must be >= 1, got 0"),
+        ],
+        ids=["k=-1,L=-2", "L=-2", "k=0,empty"],
+    )
+    def test_sidecar_count_below_one_rejected(self, tmp_path, sidecar, rows, message):
+        path = tmp_path / "controller.csv"
+        path.write_text(rows)
+        (tmp_path / "controller.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=rf"controller\.json: {message}$"):
             read_controller_csv(path)
 
     @pytest.mark.parametrize(

@@ -95,6 +95,19 @@ class TestSimulate:
         assert err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_unstable_model_leaving_float_range_is_an_input_error(self, tmp_path, capsys):
+        # x(t+1) = 2 x(t) + u(t) overflows after about 1024 samples
+        model = tmp_path / "unstable.json"
+        unstable = lti_core.StateSpaceModel([[2.0]], [[1.0]], [[1.0]], [[0.0]], (2,), (1,))
+        lti_core.write_model_json(model, unstable)
+        out = tmp_path / "x.csv"
+        args = ["simulate", "--model", str(model), "--T", "2000", "--seed", "7", "--out", str(out)]
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: trajectory sample ") and err.endswith(" is not finite\n")
+        assert not out.exists()
+
     def test_missing_model_file(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["simulate", "--model", str(tmp_path / "nope.json"),

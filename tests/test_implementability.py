@@ -10,7 +10,13 @@ from canonctrl.canonical import (
     synthesize,
     verify_closed_loop,
 )
-from canonctrl.errors import DimensionError, GenerationError, HorizonError, PartitionError
+from canonctrl.errors import (
+    DimensionError,
+    GenerationError,
+    HorizonError,
+    InfeasibleRankError,
+    PartitionError,
+)
 from canonctrl.implementability import (
     DataBundle,
     InvariantBounds,
@@ -100,7 +106,7 @@ class TestBundlePartition:
     @pytest.fixture
     def out_of_order(self):
         case = harness.build_case(6018, "closed_loop")  # picks_w (2, 3), picks_c (1,)
-        bundle = DataBundle(case.plant_traj, case.ref_traj, case.L, case.wc_partition)
+        bundle = DataBundle(case.plant_traj, case.ref_traj, case.L, case.wc_partition, case.bounds)
         return case, bundle
 
     @pytest.mark.parametrize("basis", [hidden_basis, uncontrolled_basis])
@@ -221,17 +227,18 @@ class TestCheckData:
         assert verdict.implementable
 
     def test_missing_bounds_refused(self, static_case, decay_ref):
+        # the bounds are a required field: a bundle without them is a call error
         _, partition, data = static_case
         _, ref_data = decay_ref
-        with pytest.raises(ValueError, match="bounds"):
-            check_data(DataBundle(data, ref_data, 2, partition, None))
+        with pytest.raises(TypeError, match="bounds"):
+            DataBundle(data, ref_data, 2, partition)
 
     def test_horizon_error(self, integrator_case, decay_ref):
+        # raised when the bundle is built, before anything is factored
         _, partition, data = integrator_case
         _, ref_data = decay_ref
-        bundle = DataBundle(data, ref_data, 1, partition, InvariantBounds(1, 1, 0, 1, 1))
-        with pytest.raises(HorizonError):
-            check_data(bundle)
+        with pytest.raises(HorizonError, match=r"^L=1 must exceed the lag bound 1$"):
+            DataBundle(data, ref_data, 1, partition, InvariantBounds(1, 1, 0, 1, 1))
 
     def test_failed_excitation_blocks_positive(self):
         # constant control input: plant data is not exciting at depth 2, and
@@ -395,16 +402,17 @@ class TestBundleValidation:
     def test_channel_counts(self, static_case, decay_ref):
         _, partition, data = static_case
         _, ref_data = decay_ref
+        bounds = InvariantBounds(1, 0, 0, 1, 0)
         with pytest.raises(DimensionError):
-            DataBundle(ref_data, ref_data, 2, partition, None)
+            DataBundle(ref_data, ref_data, 2, partition, bounds)
         with pytest.raises(DimensionError):
-            DataBundle(data, data, 2, partition, None)
+            DataBundle(data, data, 2, partition, bounds)
 
     def test_horizon_inside_data(self, static_case, decay_ref):
         _, partition, data = static_case
         _, ref_data = decay_ref
         with pytest.raises(ValueError):
-            DataBundle(data, ref_data, 99, partition, None)
+            DataBundle(data, ref_data, 99, partition, InvariantBounds(1, 0, 0, 1, 0))
 
     def test_holds_plant_in_synthesis_order(self):
         case = harness.build_case(6000, "closed_loop")  # channels not in (w, c) order
@@ -426,10 +434,26 @@ class TestBundleValidation:
         assert verdict.implementable, verdict.to_dict()
         assert verdict.to_dict() == expected.to_dict()
 
+    @pytest.mark.parametrize(
+        "bounds, error, message",
+        [
+            # at L = 2: the horizon first, then the plant's target, then the reference's
+            ((9, 0, 0, 3, 2), HorizonError, r"^L=2 must exceed the lag bound 2$"),
+            ((9, 0, 0, 3, 1), InfeasibleRankError, r"^plant excitation target m\*L \+ n = 9\*2"),
+            ((1, 0, 0, 3, 1), InfeasibleRankError, r"^reference excitation target .* = 3 "),
+        ],
+    )
+    def test_bounds_checked_when_built(self, static_case, decay_ref, bounds, error, message):
+        _, partition, data = static_case
+        _, ref_data = decay_ref
+        with pytest.raises(error, match=message):
+            DataBundle(data, ref_data, 2, partition, InvariantBounds(*bounds))
+        assert not data.hankel_images and not ref_data.hankel_images  # nothing factored
+
     def test_in_order_plant_kept_as_given(self, static_case, decay_ref):
         _, partition, data = static_case
         _, ref_data = decay_ref
-        bundle = DataBundle(data, ref_data, 2, partition, None)
+        bundle = DataBundle(data, ref_data, 2, partition, InvariantBounds(1, 0, 0, 1, 0))
         assert bundle.plant_traj is data and bundle.partition == partition
 
 

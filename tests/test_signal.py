@@ -81,6 +81,14 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             w.values[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sample(self, bad):
+        values = np.ones((5, 2))
+        values[3, 1] = bad
+        values[4, 0] = bad
+        with pytest.raises(ValueError, match=r"^trajectory sample 4 of 5 is not finite$"):
+            Trajectory(values)
+
 
 def _count_entry_points():
     """(entry point, argument, call, low, high) for each count the library takes.
@@ -103,7 +111,8 @@ def _count_entry_points():
         return lambda v, _: make(**{**valid, name: v})
 
     yield "hankel", "L", lambda v, _: hankel(w, v), 1, w.T
-    yield "DataBundle", "L", lambda v, _: DataBundle(w, r, v, split, None), 1, w.T
+    bounds = InvariantBounds(0, 0, 0, 0, 0)
+    yield "DataBundle", "L", lambda v, _: DataBundle(w, r, v, split, bounds), 1, w.T
     target = dict(w=w, L=2, m_bound=0, n_bound=0)
     for name in ("m_bound", "n_bound"):
         yield "excitation_target", name, keyword(excitation_target, target, name), 0, None
@@ -129,6 +138,10 @@ def _count_entry_points():
     plan = dict(q=1, k=1, L=2)
     for name in plan:
         yield "PermutationPlan", name, keyword(PermutationPlan, plan, name), 1, None
+    yield "decaying_reference_data", "T", lambda v, _: harness.decaying_reference_data(v), 1, None
+    yield "plant_data", "T", lambda v, _: harness.plant_data(integrator, v, 0), 1, None
+    call = keyword(harness.gpe_trajectory, dict(model=integrator, L=1, rng=rng), "T")
+    yield "gpe_trajectory", "T", call, 1, None
     yield "cmd_simulate", "T", lambda v, p: cli.cmd_simulate(simulate_flags(p, T=v)), 1, None
     yield "cmd_simulate", "seed", lambda v, p: cli.cmd_simulate(simulate_flags(p, seed=v)), 0, None
 
