@@ -60,8 +60,6 @@ class PermutationPlan:
     """Positions of the w and c coordinates in the canonical interleaved layout.
 
     Canonical layout interleaves per time step: (w(1), c(1), ..., w(L), c(L)).
-    Block layout stacks all w samples (qL entries) then all c samples (kL);
-    `perm` maps positions so that canonical_vec = block_vec[perm].
     """
 
     q: int
@@ -86,13 +84,6 @@ class PermutationPlan:
         """Canonical-layout positions of the c coordinates."""
         picks = tuple(range(self.q + 1, self.q + self.k + 1))
         return channel_rows(picks, self.q + self.k, self.L)
-
-    @cached_property
-    def perm(self) -> np.ndarray:
-        perm = np.empty(self.ambient_dim, dtype=np.intp)
-        perm[self.w_rows] = np.arange(self.q * self.L)
-        perm[self.c_rows] = self.q * self.L + np.arange(self.k * self.L)
-        return perm
 
 
 @dataclass(frozen=True, eq=False)

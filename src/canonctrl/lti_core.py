@@ -32,7 +32,7 @@ from .signal import (
     require_count,
     require_keys,
 )
-from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, row_span, section
+from .subspace import DEFAULT_RANK_TOL, BehaviorBasis, orthonormal_basis, row_span, section, svd
 
 
 @dataclass(frozen=True)
@@ -189,14 +189,17 @@ def simulate(
     if x.shape != (model.n,):
         raise DimensionError(f"x0 has shape {x.shape}, expected ({model.n},)")
 
-    BU = U @ model.B.T
-    X = np.empty((length, model.n))
-    for t in range(length):
-        X[t] = x
-        x = model.A @ x + BU[t]
     out = np.empty((length, model.q))
     out[:, [pick - 1 for pick in model.input_picks]] = U
-    out[:, [pick - 1 for pick in model.output_picks]] = X @ model.C.T + U @ model.D.T
+    # an unstable model may leave float range: Trajectory names the first
+    # sample that is not finite, so numpy's overflow warnings say nothing more
+    with np.errstate(over="ignore", invalid="ignore"):
+        BU = U @ model.B.T
+        X = np.empty((length, model.n))
+        for t in range(length):
+            X[t] = x
+            x = model.A @ x + BU[t]
+        out[:, [pick - 1 for pick in model.output_picks]] = X @ model.C.T + U @ model.D.T
     return Trajectory(out)
 
 
@@ -249,7 +252,7 @@ def restricted_behavior_basis(model: StateSpaceModel, L: int) -> BehaviorBasis:
     a cutoff growing with n + mL would pass.
     """
     rank = model.m * L + DEFAULT_RANK_TOL.rank(observability_matrix(model.A, model.C, L))
-    U = np.linalg.svd(behavior_window_map(model, L), full_matrices=False)[0]
+    U = svd(behavior_window_map(model, L))[0]
     return BehaviorBasis(U[:, :rank].copy())
 
 

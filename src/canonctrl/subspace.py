@@ -11,8 +11,11 @@ w rows by its c rows) and the intersection (:func:`intersect`) are both
 sections.  The row span of a basis (:func:`row_span`) is the one
 coordinate projection: the uncontrolled behavior P_w, the closed loop's w
 rows and a controller's c rows are all row spans.  Everything is
-SVD-based; every rank decision reads the one rule :data:`DEFAULT_RANK_TOL`,
-so the whole package cuts singular values the same way.  Wide matrices
+SVD-based, through the one routine :func:`svd`, which factors the transpose
+where LAPACK's gesdd does not converge; numpy factors empty matrices, so no
+function special-cases them.  Every rank decision reads the one rule
+:data:`DEFAULT_RANK_TOL`, so the whole package cuts singular values the same
+way.  Wide matrices
 (data Hankel matrices have far more columns than rows) are reduced to a
 square factor by a block-wise QR factorization of their transpose before
 the SVD, which then never sees the long dimension.  The QR holds one block
@@ -61,13 +64,20 @@ class RankTolerance:
 
     def rank(self, M: np.ndarray, shape: tuple | None = None) -> int:
         M = np.asarray(M, dtype=float)
-        if M.size == 0:
-            return 0
-        return self.count(np.linalg.svd(_thin_factor(M), compute_uv=False), shape or M.shape)
+        return self.count(svd(_thin_factor(M), compute_uv=False), shape or M.shape)
 
 
 #: The rank rule every rank decision of the package reads; it is not a parameter.
 DEFAULT_RANK_TOL = RankTolerance()
+
+
+def svd(M: np.ndarray, compute_uv: bool = True):
+    """Thin SVD (U, s, Vt) of M, or s alone; if gesdd fails on M, that of M^T, swapped back."""
+    try:
+        return np.linalg.svd(M, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        out = np.linalg.svd(M.T, full_matrices=False, compute_uv=compute_uv)
+        return (out[2].T, out[1], out[0].T) if compute_uv else out
 
 
 def _thin_factor(M: np.ndarray) -> np.ndarray:
@@ -161,9 +171,7 @@ def image_svd(
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={M.ndim}")
-    if M.size == 0:
-        return BehaviorBasis(np.zeros((M.shape[0], 0))), np.zeros(0)
-    U, s, _ = np.linalg.svd(_thin_factor(M), full_matrices=False)
+    U, s, _ = svd(_thin_factor(M))
     return BehaviorBasis(U[:, : DEFAULT_RANK_TOL.count(s, shape or M.shape, scale)].copy()), s
 
 
@@ -179,9 +187,7 @@ def pinv(M: np.ndarray, *, scale: float | None = None) -> np.ndarray:
     cutoff as in :func:`orthonormal_basis`) and drops the rest.
     """
     M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return np.zeros((M.shape[1], M.shape[0]))
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = svd(M)
     r = DEFAULT_RANK_TOL.count(s, M.shape, scale)
     return (Vt[:r].T / s[:r]) @ U[:, :r].T
 
@@ -275,10 +281,7 @@ def is_subspace_of(Bsub: BehaviorBasis, Bsup: BehaviorBasis) -> tuple[bool, floa
         raise DimensionError(
             f"ambient dims differ: {Bsub.ambient_dim} vs {Bsup.ambient_dim}"
         )
-    Q = Bsub.basis
-    if Q.shape[1] == 0:
-        return True, 0.0
-    Qs = Bsup.basis
+    Q, Qs = Bsub.basis, Bsup.basis
     residual = float(np.linalg.norm(Q - Qs @ (Qs.T @ Q)))
     return residual <= DEFAULT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(Q))), residual
 
@@ -296,11 +299,9 @@ def principal_angles(B1: BehaviorBasis, B2: BehaviorBasis) -> np.ndarray:
         raise DimensionError(
             f"ambient dims differ: {B1.ambient_dim} vs {B2.ambient_dim}"
         )
-    if B1.dim == 0 or B2.dim == 0:
-        return np.zeros(0)
     Q1, Q2 = B1.basis, B2.basis
     M = Q1.T @ Q2
-    cosines = np.linalg.svd(M, compute_uv=False)  # nonincreasing
+    cosines = svd(M, compute_uv=False)  # nonincreasing
     angles = np.arccos(np.clip(cosines, -1.0, 1.0))  # nondecreasing
     small = cosines**2 >= 0.5
     if np.any(small):
@@ -308,7 +309,7 @@ def principal_angles(B1: BehaviorBasis, B2: BehaviorBasis) -> np.ndarray:
             residual = Q2 - Q1 @ M
         else:
             residual = Q1 - Q2 @ M.T
-        sines = np.linalg.svd(residual, compute_uv=False)[::-1]  # nondecreasing
+        sines = svd(residual, compute_uv=False)[::-1]  # nondecreasing
         angles[small] = np.arcsin(np.clip(sines[small], -1.0, 1.0))
     return angles[::-1].copy()
 

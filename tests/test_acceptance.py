@@ -270,10 +270,10 @@ def test_criterion_5_restricted_behavior_lemmas():
             plan = PermutationPlan(q1, q2, L)
             B1 = restricted_behavior_basis(m1, L).basis
             B2 = restricted_behavior_basis(m2, L).basis
-            block = np.zeros((plan.ambient_dim, B1.shape[1] + B2.shape[1]))
-            block[: q1 * L, : B1.shape[1]] = B1
-            block[q1 * L :, B1.shape[1] :] = B2
-            stacked = orthonormal_basis(block[plan.perm, :])
+            joint = np.zeros((plan.ambient_dim, B1.shape[1] + B2.shape[1]))
+            joint[plan.w_rows, : B1.shape[1]] = B1
+            joint[plan.c_rows, B1.shape[1] :] = B2
+            stacked = orthonormal_basis(joint)
             equal, angle = subspaces_equal(
                 stacked, restricted_behavior_basis(prod, L), ANGLE_TOL
             )

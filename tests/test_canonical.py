@@ -5,8 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from canonctrl import harness, subspace
 from canonctrl.canonical import (
@@ -57,24 +55,12 @@ def static_setup():
     return data, ref
 
 
+def block_to_canonical(plan: PermutationPlan) -> np.ndarray:
+    """The permutation matrix Pi with Pi @ (all w samples, then all c samples) canonical."""
+    return np.eye(plan.ambient_dim)[:, np.concatenate([plan.w_rows, plan.c_rows])]
+
+
 class TestPermutationPlan:
-    def test_interleaving_example(self):
-        plan = PermutationPlan(q=1, k=1, L=2)
-        block = np.array([10.0, 11.0, 20.0, 21.0])  # (w1, w2, c1, c2)
-        assert np.array_equal(block[plan.perm], [10, 20, 11, 21])
-
-    @given(
-        st.integers(min_value=1, max_value=3),
-        st.integers(min_value=1, max_value=3),
-        st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=30)
-    def test_perm_sends_blocks_to_rows(self, q, k, L):
-        plan = PermutationPlan(q, k, L)
-        assert np.array_equal(np.sort(plan.perm), np.arange(plan.ambient_dim))
-        assert np.array_equal(plan.perm[plan.w_rows], np.arange(q * L))
-        assert np.array_equal(plan.perm[plan.c_rows], q * L + np.arange(k * L))
-
     def test_rows_partition_indices(self):
         plan = PermutationPlan(2, 1, 3)
         combined = np.sort(np.concatenate([plan.w_rows, plan.c_rows]))
@@ -88,8 +74,7 @@ class TestPermutationPlan:
     def test_reference_lift_is_conjugated_block_form(self, static_setup):
         _, ref = static_setup
         plan = PermutationPlan(1, 2, 3)
-        Pi = np.zeros((plan.ambient_dim, plan.ambient_dim))
-        Pi[np.arange(plan.ambient_dim), plan.perm] = 1.0
+        Pi = block_to_canonical(plan)
         Q = reference_basis(ref, 3).basis
         block = scipy.linalg.block_diag(Q @ Q.T, np.eye(6))
         P = reference_lift_projector(ref, 2, 3, plan)
@@ -98,8 +83,7 @@ class TestPermutationPlan:
     def test_controller_lift_is_permuted_block_form(self, rng):
         plan = PermutationPlan(2, 1, 3)
         Qc = orthonormal_basis(rng.standard_normal((3, 2)))
-        Pi = np.zeros((plan.ambient_dim, plan.ambient_dim))
-        Pi[np.arange(plan.ambient_dim), plan.perm] = 1.0
+        Pi = block_to_canonical(plan)
         block = scipy.linalg.block_diag(np.eye(6), Qc.basis)
         lift = lift_controller(ControllerBasis(Qc, 1, 3), plan)
         assert subspaces_equal(lift, orthonormal_basis(Pi @ block))[0]

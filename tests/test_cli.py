@@ -95,7 +95,7 @@ class TestSimulate:
         assert err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unstable_model_leaving_float_range_is_an_input_error(self, tmp_path, capsys):
         # x(t+1) = 2 x(t) + u(t) overflows after about 1024 samples
         model = tmp_path / "unstable.json"
@@ -255,6 +255,22 @@ class TestMalformedInputs:
         assert code == 2 and stdout == ""
         assert err.startswith("error:") and "'m_bound'" in err
 
+    def test_single_integer_bound_applies_to_both(self, fixtures, capsys):
+        # on the integrator, --n-bound 1 is --n-bound 1,1
+        args = check_args(fixtures, "integrator_data", 1, 1)
+        outputs = []
+        for value in ("1,1", "1"):
+            args[args.index("--n-bound") + 1] = value
+            outputs.append(run_cli(args, capsys))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 1
+
+    def test_three_integer_bound_rejected(self, fixtures, capsys):
+        args = check_args(fixtures, "static_data", 0, 0)
+        args[args.index("--m-bound") + 1] = "1,0,2"
+        code, stdout, err = run_cli(args, capsys)
+        assert code == 2 and stdout == ""
+        assert err == "error: option 'm_bound' takes one or two integers, got '1,0,2'\n"
+
     @pytest.mark.parametrize(
         "key, value", [("picks_w", [2.7]), ("picks_c", [1.9]), ("picks_c", [True])]
     )
@@ -341,6 +357,17 @@ class TestSynth:
         assert payload["closed_loop"]["verified"] is False
         assert payload["closed_loop"]["max_angle"] > 1e-8
         assert out.exists()
+
+    def test_svd_failure_is_an_input_error(self, tmp_path, fixtures, capsys, monkeypatch):
+        # gesdd failing on a matrix and on its transpose exits 2, naming the failure
+        def no_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        args = ["synth", *check_args(fixtures, "static_data", 0, 0)[1:],
+                "--out", str(tmp_path / "controller.csv")]  # fmt: skip
+        code, stdout, err = run_cli(args, capsys)
+        assert (code, stdout, err) == (2, "", "error: SVD did not converge\n")
 
     def test_reference_equal_to_plant_w_gives_full_controller(
         self, tmp_path, fixtures, capsys

@@ -279,6 +279,58 @@ class TestPinv:
         assert peak <= 2.2 * S.nbytes, peak / S.nbytes
 
 
+NUMPY_SVD = np.linalg.svd
+
+
+def failing_svd(monkeypatch, failures):
+    """Make np.linalg.svd raise LinAlgError on its next `failures` calls, then work."""
+    calls = iter(range(failures))
+
+    def svd_patch(*args, **kwargs):
+        if next(calls, None) is not None:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return NUMPY_SVD(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_patch)
+
+
+class TestSvd:
+    def test_one_failure_is_retried_on_the_transpose(self, rng, monkeypatch):
+        M = rng.standard_normal((6, 4)) @ np.diag([3.0, 2.0, 1.0, 0.0])
+        keep, constraint = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
+        calls = {
+            "pinv": lambda: pinv(M),
+            "rank": lambda: DEFAULT_RANK_TOL.rank(M),
+            "section": lambda: section(keep, constraint),
+        }
+        expected = {name: call() for name, call in calls.items()}
+        for name, call in calls.items():
+            failing_svd(monkeypatch, 1)
+            got = call()
+            if name == "section":
+                assert subspaces_equal(got, expected[name])[0]
+            else:
+                assert np.allclose(got, expected[name], atol=1e-12), name
+
+    def test_a_second_failure_raises(self, rng, monkeypatch):
+        failing_svd(monkeypatch, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            pinv(rng.standard_normal((4, 3)))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_empty_matrices(self, shape):
+        M = np.zeros(shape)
+        assert RankTolerance().rank(M) == 0
+        basis, s = image_svd(M)
+        assert basis.basis.shape == orthonormal_basis(M).basis.shape == (shape[0], 0)
+        assert s.shape == (0,)
+        assert np.array_equal(pinv(M), np.zeros(shape[::-1]))
+        empty, full = BehaviorBasis(np.zeros((shape[0], 0))), BehaviorBasis(np.eye(shape[0]))
+        for a, b in [(empty, full), (full, empty), (empty, empty)]:
+            assert principal_angles(a, b).shape == (0,)
+        assert is_subspace_of(empty, full) == is_subspace_of(empty, empty) == (True, 0.0)
+
+
 def planted_section(rng, n_keep, n_zero, r, s):
     """Orthonormal U (rows shuffled) whose image has an s-dim part vanishing on the zero rows.
 
