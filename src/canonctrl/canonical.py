@@ -45,13 +45,13 @@ from .signal import (
 from .subspace import (
     BehaviorBasis,
     Projector,
+    equal_by_angles,
     intersect,
     orthonormal_basis,
     pinv_symmetric,
     principal_angles,
     projector_onto,
     row_span,
-    subspaces_equal,
 )
 
 
@@ -238,12 +238,12 @@ def verify_closed_loop(
         raise DimensionError("reference basis ambient does not match the plan")
     P_loop = intersect(projector_onto(P_basis), projector_onto(lift_controller(C, plan)))
     controlled = row_span(P_loop.basis, plan.w_rows)
-    verified, max_angle = subspaces_equal(controlled, R_basis)
-    angles = tuple(float(a) for a in principal_angles(controlled, R_basis))
+    angles = principal_angles(controlled, R_basis)
+    verified, max_angle = equal_by_angles(controlled.dim, R_basis.dim, angles)
     report = ClosedLoopReport(
         verified=verified,
         max_angle=max_angle,
-        angles=angles,
+        angles=tuple(float(a) for a in angles),
         dim_controlled=controlled.dim,
         dim_reference=R_basis.dim,
     )

@@ -16,9 +16,11 @@ both sides.  A :class:`DataBundle` holds its plant in the (w, c) order
 synthesis reads, and each trajectory is factored once
 (:func:`canonctrl.signal.hankel_image` stores the factorization with it),
 so the excitation tests and synthesis reuse it.  Both routes read N and
-P_w off a joint plant basis the same way: N is its section at c = 0 and
-P_w the span of its w rows (:func:`~canonctrl.subspace.row_span`, the one
-coordinate projection).
+P_w off a joint plant basis the same way: N is its section at c = 0
+(:func:`~canonctrl.lti_core.hidden_restricted_basis`, the one section both
+call) and P_w the span of its w rows (:func:`~canonctrl.subspace.row_span`,
+the one coordinate projection).  The model route hands the section a basis
+with the control inputs already pinned to zero, which c = 0 sets exactly.
 """
 
 from __future__ import annotations
@@ -220,16 +222,19 @@ def check_model(
 
     Builds the exact restricted bases of the hidden behavior, the reference,
     and the uncontrolled plant, and tests the same inclusion chain as the
-    data route.  The plant's depth-L window map is built once: N is its
-    section at c = 0 and P_w the span of its w rows.  The horizon must
-    exceed all three lags, which are computed from the models.
+    data route.  The plant's depth-L window map is built once and gives two
+    bases from one QR (:func:`~canonctrl.lti_core.restricted_behavior_bases`):
+    P_w is the span of the full basis's w rows, and N the section at c = 0 of
+    the basis whose inputs on control channels are pinned to zero, as c = 0
+    pins them exactly.  The horizon must exceed all three lags, which are
+    computed from the models.
     """
     _check_channels(plant.q, ref.q, wc_partition)
     lag_needed = lti_core.horizon_lag(plant, wc_partition.picks_w, ref)
     if L <= lag_needed:
         raise HorizonError(f"L={L} must exceed the lag bound {lag_needed}")
-    U = lti_core.restricted_behavior_basis(plant, L)
-    N = lti_core.hidden_restricted_basis(U, wc_partition, L)
+    U, U_pinned = lti_core.restricted_behavior_bases(plant, L, wc_partition.picks_c)
+    N = lti_core.hidden_restricted_basis(U_pinned, wc_partition, L)
     R = lti_core.restricted_behavior_basis(ref, L)
     Pw = row_span(U, channel_rows(wc_partition.picks_w, plant.q, L))
     return _verdict_from_bases(N, R, Pw, True, True)

@@ -5,11 +5,13 @@ representations are cross-checked: a minimal (A, B, C, D) realization that
 places its own inputs and outputs in the full variable vector.  Restricted
 behaviors are built from n + m simulations, shifted by time invariance,
 never through kernel representations; their dimension m L + rank O_L is
-read off the model.  A simulation steps only the state sequentially; the
-input term `B u` and the outputs are whole-array products.
-:func:`hidden_restricted_basis` reads the hidden behavior off any orthonormal
-basis of a joint restricted behavior -- the oracle's window map image or the
-data route's Hankel image -- so both routes cut it with the one
+read off the model, and their basis is the Q factor of one QR of the
+window map's independent columns [O_L V_r | T_L].  A simulation steps only
+the state sequentially; the input term `B u` and the outputs are
+whole-array products.  :func:`hidden_restricted_basis` reads the hidden
+behavior off any orthonormal basis of a joint restricted behavior -- the
+oracle's window map image, with the control inputs pinned to zero exactly,
+or the data route's Hankel image -- so both routes cut it with the one
 :func:`~canonctrl.subspace.section`.  Lag <= order <= n holds for any channel
 projection, so :func:`projected_invariants` reads its profile to depth n + 2.
 """
@@ -244,16 +246,38 @@ def behavior_window_map(model: StateSpaceModel, L: int) -> np.ndarray:
 def restricted_behavior_basis(model: StateSpaceModel, L: int) -> BehaviorBasis:
     """Orthonormal basis of the restricted behavior over horizon L (ambient qL).
 
-    The window map [O_L | T_L] has rank m L + rank O_L: its input rows are
-    the free inputs, and its output rows hold O_L beside them.  So the basis
-    is that many leading left singular vectors of the map, and the only rank
-    decided is that of the pL x n matrix O_L (n from the lag on); no cutoff
-    is set on the map's own spectrum, whose smallest genuine singular value
-    a cutoff growing with n + mL would pass.
+    The Q factor of one QR of the window map's independent columns
+    [O_L V_r | T_L]: the first of :func:`restricted_behavior_bases`, with
+    nothing pinned.
     """
-    rank = model.m * L + DEFAULT_RANK_TOL.rank(observability_matrix(model.A, model.C, L))
-    U = svd(behavior_window_map(model, L))[0]
-    return BehaviorBasis(U[:, :rank].copy())
+    return restricted_behavior_bases(model, L, ())[0]
+
+
+def restricted_behavior_bases(
+    model: StateSpaceModel, L: int, pinned: tuple[int, ...]
+) -> tuple[BehaviorBasis, BehaviorBasis]:
+    """The restricted basis over horizon L, and that of its windows with the
+    inputs on channels `pinned` at zero, both from one window map.
+
+    The window map [O_L | T_L] holds the free inputs on its input rows, where
+    O_L is zero, so [O_L V_r | T_L] has independent columns by structure
+    (V_r the right singular vectors of O_L that the package rank rule keeps)
+    and rank m L + rank O_L at every L, below the lag too.  The only rank
+    decided is that of the pL x n matrix O_L; no cutoff is set on the map's
+    own spectrum.  Both bases are Q of one Householder QR: a window whose
+    pinned inputs vanish has zero coefficients on their T_L columns, which
+    come last, so the leading Q columns span the pinned windows.
+    """
+    M = behavior_window_map(model, L)
+    n, m = model.n, model.m
+    O = M[channel_rows(model.output_picks, model.q, L), :n]
+    _, s, Vt = svd(O)
+    V_r = Vt[: DEFAULT_RANK_TOL.count(s, O.shape)].T
+    T_cols = np.arange(n, n + m * L).reshape(L, m)  # [t, i]: input i at time t + 1
+    on_pinned = np.isin(model.input_picks, pinned)
+    free, last = T_cols[:, ~on_pinned].ravel(), T_cols[:, on_pinned].ravel()
+    Q = np.linalg.qr(np.hstack([M[:, :n] @ V_r, M[:, free], M[:, last]]))[0]
+    return BehaviorBasis(Q), BehaviorBasis(Q[:, : Q.shape[1] - last.size])
 
 
 def projected_restricted_basis(

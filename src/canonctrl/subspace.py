@@ -325,9 +325,21 @@ def subspaces_equal(
     pi/2 when the dimensions differ).  `angle_tol` stays a parameter only
     because the acceptance battery passes its own tolerance positionally.
     """
-    if B1.dim != B2.dim:
+    angles = principal_angles(B1, B2) if B1.dim == B2.dim > 0 else np.zeros(0)
+    return equal_by_angles(B1.dim, B2.dim, angles, angle_tol)
+
+
+def equal_by_angles(
+    dim1: int, dim2: int, angles: np.ndarray, angle_tol: float = DEFAULT_ANGLE_TOL
+) -> tuple[bool, float]:
+    """:func:`subspaces_equal`'s verdict on principal angles already computed.
+
+    Differing dimensions give (False, pi/2) whatever the angles; no angles
+    (two zero subspaces) give (True, 0.0).
+    """
+    if dim1 != dim2:
         return False, float(np.pi / 2)
-    if B1.dim == 0:
+    if len(angles) == 0:
         return True, 0.0
-    max_angle = float(principal_angles(B1, B2)[0])
+    max_angle = float(angles[0])
     return max_angle < angle_tol, max_angle

@@ -344,6 +344,31 @@ class TestVerifyClosedLoop:
         )
         assert ok and report.dim_controlled == 0
 
+    @pytest.mark.parametrize(
+        "plant_fixture, ctrl_cols, ref_vectors",
+        [
+            ("integrator_plant", 0, [[1.0, 0.5]]),  # equal dims, a nonzero angle
+            ("integrator_plant", 2, [[1.0, 1.0]]),  # controlled 2 vs reference 1
+            ("static_plant", 0, []),  # two zero subspaces
+        ],
+    )
+    def test_report_is_subspaces_equal_and_principal_angles(
+        self, plant_fixture, ctrl_cols, ref_vectors
+    ):
+        plant, partition = getattr(harness, plant_fixture)()
+        data = arrange_by_partition(harness.plant_data(plant, 40, seed=3), partition)
+        plan = PermutationPlan(1, 1, 2)
+        P_basis = orthonormal_basis(hankel(data, 2))
+        ctrl = ControllerBasis(orthonormal_basis(np.eye(2)[:, :ctrl_cols]), 1, 2)
+        R_basis = orthonormal_basis(np.array(ref_vectors, dtype=float).reshape(-1, 2).T)
+        loop = intersect(projector_onto(P_basis), projector_onto(lift_controller(ctrl, plan)))
+        controlled = subspace.row_span(loop.basis, plan.w_rows)
+        ok, report = verify_closed_loop(P_basis, ctrl, R_basis, plan)
+        assert ok is report.verified
+        assert (report.verified, report.max_angle) == subspaces_equal(controlled, R_basis)
+        assert report.angles == tuple(float(a) for a in principal_angles(controlled, R_basis))
+        assert (report.dim_controlled, report.dim_reference) == (controlled.dim, R_basis.dim)
+
     def test_report_serializes(self):
         report = ClosedLoopReport(True, 0.0, (0.0,), 1, 1)
         payload = json.loads(json.dumps(report.to_dict()))

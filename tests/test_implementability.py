@@ -30,11 +30,17 @@ from canonctrl.lti_core import horizon_lag, invariants_of
 from canonctrl.signal import (
     Partition,
     Trajectory,
+    channel_rows,
     hankel,
     hankel_image,
     is_gpe,
 )
-from canonctrl.subspace import orthonormal_basis, principal_angles, subspaces_equal
+from canonctrl.subspace import (
+    DEFAULT_ANGLE_TOL,
+    orthonormal_basis,
+    principal_angles,
+    subspaces_equal,
+)
 
 from conftest import free_model, long_draw_models
 
@@ -98,6 +104,63 @@ class TestHiddenBasis:
             assert ok, f"seed {seed}: dims {N_data.dim}/{N_model.dim}, angle {angle:.3e}"
             nonzero += N_model.dim > 0
         assert nonzero >= 30  # the cases exercise nontrivial hidden behaviors
+
+
+def _control_block(plant, partition):
+    """Which of the plant's inputs and outputs the control channels hold."""
+    pinned = [pick in partition.picks_c for pick in plant.input_picks]
+    held = [pick in partition.picks_c for pick in plant.output_picks]
+    return {(True, False): "inputs", (False, True): "outputs", (True, True): "both"}[
+        (any(pinned), any(held))
+    ]
+
+
+class TestPinnedHiddenBasis:
+    """The oracle's hidden behavior, cut from the windows whose control inputs vanish."""
+
+    @staticmethod
+    def _cases():
+        cases = [(*harness.static_plant(), 1), (*harness.static_plant(), 3)]
+        cases += [(*harness.integrator_plant(), L) for L in (1, 2, 4)]
+        for seed in range(40):
+            plant, partition = lti_core.random_minimal_model(
+                1 + seed % 3, 1 + seed % 2, seed % 5, seed=seed
+            )
+            cases += [(plant, partition, L) for L in (1, plant.n + 2)]
+        return cases
+
+    def test_equals_the_section_of_the_unpinned_basis(self):
+        seen = {"inputs": 0, "outputs": 0, "both": 0}
+        for plant, partition, L in self._cases():
+            U, U_pinned = lti_core.restricted_behavior_bases(plant, L, partition.picks_c)
+            pinned = lti_core.hidden_restricted_basis(U_pinned, partition, L)
+            unpinned = lti_core.hidden_restricted_basis(
+                lti_core.restricted_behavior_basis(plant, L), partition, L
+            )
+            ok, angle = subspaces_equal(pinned, unpinned, DEFAULT_ANGLE_TOL)
+            assert ok, (plant.n, plant.m, L, pinned.dim, unpinned.dim, angle)
+            ok, angle = subspaces_equal(U, lti_core.restricted_behavior_basis(plant, L))
+            assert ok, (plant.n, plant.m, L, angle)
+            seen[_control_block(plant, partition)] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_pinned_windows_hold_zero_control_inputs(self):
+        # the fixtures' control channel is their input: the pinned basis is
+        # the free responses alone, zero on every c sample
+        for plant, partition in (harness.static_plant(), harness.integrator_plant()):
+            _, U_pinned = lti_core.restricted_behavior_bases(plant, 3, partition.picks_c)
+            assert U_pinned.dim == plant.n
+            c_rows = channel_rows(partition.picks_c, plant.q, 3)
+            assert np.array_equal(U_pinned.basis[c_rows], np.zeros((3, plant.n)))
+
+    def test_nothing_pinned_when_the_control_block_holds_outputs_only(self):
+        compared = 0
+        for plant, partition, L in self._cases():
+            if _control_block(plant, partition) == "outputs":
+                U, U_pinned = lti_core.restricted_behavior_bases(plant, L, partition.picks_c)
+                assert np.array_equal(U.basis, U_pinned.basis)
+                compared += 1
+        assert compared >= 10
 
 
 class TestBundlePartition:

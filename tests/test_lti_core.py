@@ -35,6 +35,7 @@ from canonctrl.signal import Trajectory
 from canonctrl.subspace import (
     DEFAULT_ANGLE_TOL,
     DEFAULT_RANK_TOL,
+    BehaviorBasis,
     orthonormal_basis,
     subspaces_equal,
 )
@@ -341,11 +342,12 @@ class TestRestrictedBasis:
 
     @staticmethod
     def _dimension_cases():
-        """Random minimal models, and the m = 0 and n = 0 fixtures, at L from 1 to past the lag."""
+        """Random minimal models, and the m = 0 and n = 0 fixtures, at L from 1 to
+        n + 3, past the lag."""
         models = [random_minimal_model(1 + s % 3, 1 + s % 2, s % 6, seed=s)[0] for s in range(30)]
-        models += [harness.decaying_reference(), free_model(2)]
+        models += [harness.decaying_reference(), free_model(2), identity_model()]
         for model in models:
-            for L in range(1, invariants_of(model).lag + 3):
+            for L in range(1, model.n + 4):
                 yield model, L
 
     def test_dimension_is_read_off_the_model(self):
@@ -370,6 +372,24 @@ class TestRestrictedBasis:
                 assert ok, (model.n, model.m, L, angle)
                 compared += 1
         assert compared >= 100
+
+    def test_equals_the_leading_singular_vectors_of_the_window_map(self):
+        # the reference: the m L + rank O_L leading left singular vectors of
+        # the whole window map; O_L is rank-deficient below the lag
+        zero = StateSpaceModel(np.zeros((0, 0)), [], [], [], (), ())  # n = m = 0
+        below_lag = 0
+        for model, L in [*self._dimension_cases(), (zero, 1), (zero, 3)]:
+            rank_O = DEFAULT_RANK_TOL.rank(observability_matrix(model.A, model.C, L))
+            U = np.linalg.svd(behavior_window_map(model, L), full_matrices=False)[0]
+            reference = BehaviorBasis(U[:, : model.m * L + rank_O])
+            basis = restricted_behavior_basis(model, L)
+            assert basis.ambient_dim == model.q * L
+            ok, angle = subspaces_equal(basis, reference, DEFAULT_ANGLE_TOL)
+            assert ok, (model.n, model.m, L, basis.dim, reference.dim, angle)
+            Q = basis.basis
+            assert np.linalg.norm(Q.T @ Q - np.eye(basis.dim)) <= 1e-12
+            below_lag += rank_O < model.n
+        assert below_lag >= 20
 
     def test_window_map_shape(self):
         M = behavior_window_map(integrator_model(), 3)
