@@ -12,12 +12,13 @@ from pathlib import Path
 
 from canonctrl import harness, lti_core, signal
 
+#: length and data seed of every fixture trajectory
+T, SEED = 50, 7
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="demo_data", help="output directory")
-    parser.add_argument("--T", type=int, default=50, help="trajectory length")
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
     out = Path(args.out_dir)
@@ -27,11 +28,9 @@ def main() -> int:
     integrator, _ = harness.integrator_plant()
     lti_core.write_model_json(out / "static_plant.json", static)
     lti_core.write_model_json(out / "integrator_plant.json", integrator)
-    signal.write_csv(out / "reference.csv", harness.decaying_reference_data(args.T))
-    signal.write_csv(out / "static_data.csv", harness.plant_data(static, args.T, args.seed))
-    signal.write_csv(
-        out / "integrator_data.csv", harness.plant_data(integrator, args.T, args.seed)
-    )
+    signal.write_csv(out / "reference.csv", harness.decaying_reference_data(T))
+    signal.write_csv(out / "static_data.csv", harness.plant_data(static, T, SEED))
+    signal.write_csv(out / "integrator_data.csv", harness.plant_data(integrator, T, SEED))
 
     print(f"fixtures written to {out}/")
     print("\ntry:")

@@ -25,7 +25,7 @@ tolerance :data:`canonctrl.subspace.DEFAULT_ANGLE_TOL`; no caller sets it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -116,13 +116,7 @@ class ClosedLoopReport:
     dim_reference: int
 
     def to_dict(self) -> dict:
-        return {
-            "verified": self.verified,
-            "max_angle": self.max_angle,
-            "angles": list(self.angles),
-            "dim_controlled": self.dim_controlled,
-            "dim_reference": self.dim_reference,
-        }
+        return asdict(self)
 
 
 def plant_projector(plant_traj: Trajectory, L: int) -> Projector:

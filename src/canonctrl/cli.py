@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -63,11 +64,20 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _refuse_overwrite(outs, ins) -> None:
+    """An output path naming an input file is an input error, raised before anything is written."""
+    for out in outs:
+        for path in ins:
+            if os.path.exists(out) and os.path.samefile(out, path):
+                raise ValueError(f"output {out} is the input {path}; it would be overwritten")
+
+
 def cmd_simulate(args) -> int:
     model = lti_core.read_model_json(args.model)
     T = _opt(args, "T", _parse_int)
     seed = signal.require_count(_opt(args, "seed", _parse_int, default=0), "seed")
     out = Path(args.out)
+    _refuse_overwrite([out], [args.model])
     traj = harness.plant_data(model, T, seed)
     signal.write_csv(out, traj)
     _print_json({"written": str(out), "T": traj.T, "channels": traj.q, "seed": seed})
@@ -97,6 +107,7 @@ def cmd_check(args) -> int:
 def cmd_synth(args) -> int:
     bundle = _bundle_from_args(args)
     out = Path(args.out)
+    _refuse_overwrite([out, out.with_suffix(".json")], [args.plant, args.ref])
     verdict = check_data(bundle)
     syn = canonical.synthesize(bundle)
     ctrl = syn.controller
@@ -117,7 +128,6 @@ def cmd_proptest(args) -> int:
     bounds = {name: _opt(args, name, _parse_int) for name in ("q_w_max", "q_c_max", "n_max")}
     cfg = harness.HarnessConfig(**{k: v for k, v in bounds.items() if v is not None})
     report = harness.run_batch(seeds, base_seed, cfg)
-    report["base_seed"] = base_seed
     _print_json(report)
     return 0 if not report["failures"] else 1
 

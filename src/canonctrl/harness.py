@@ -116,6 +116,24 @@ def _stable_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     return A * float(rng.uniform(0.3, 0.9)) / radius
 
 
+def _stable_minimal(draw, ins, outs, what: str) -> StateSpaceModel:
+    """The observable realization of the first of 50 draws with spectral radius below 0.95.
+
+    `draw(gain)` gives (A, B, C, D) with its loop gain scaled by 0.6^attempt:
+    as that goes to zero the loop matrix turns block triangular with stable
+    blocks, so a stable draw is always reached.  Nonminimal draws are redrawn.
+    """
+    for attempt in range(50):
+        A, B, C, D = draw(0.6**attempt)
+        if A.size and np.max(np.abs(np.linalg.eigvals(A))) >= 0.95:
+            continue
+        try:
+            return StateSpaceModel(*observable_realization(A, B, C, D), ins, outs)
+        except MinimalityError:
+            continue
+    raise GenerationError(f"no minimal {what} after 50 draws")
+
+
 def feedback_reference_model(
     plant: StateSpaceModel,
     wc_partition: Partition,
@@ -147,14 +165,11 @@ def feedback_reference_model(
     E_c = np.eye(plant.m)[:, cu]
     E_w = np.eye(plant.m)[:, [i for _, i in wu]]
     S_cy = np.eye(plant.p)[cy]
-    for attempt in range(50):
+
+    def draw(gain: float):
         Az = _stable_matrix(n_ctrl, rng)
         Bz = rng.standard_normal((n_ctrl, len(cy)))
-        # attenuate the loop gain over retries: as it goes to zero the loop
-        # matrix turns block triangular with stable blocks, so a stable draw
-        # is always reached
-        Cz = rng.standard_normal((len(cu), n_ctrl)) * 0.6**attempt
-
+        Cz = rng.standard_normal((len(cu), n_ctrl)) * gain
         # closed-loop state (x, z), free input v = the w channels that are
         # plant inputs
         BEcCz = plant.B @ E_c @ Cz
@@ -165,16 +180,11 @@ def feedback_reference_model(
                 [Bz @ S_cy @ plant.C, Az + Bz @ S_cy @ DEcCz],
             ]
         )
-        if A_cl.size and np.max(np.abs(np.linalg.eigvals(A_cl))) >= 0.95:
-            continue
         B_cl = np.vstack([plant.B @ E_w, Bz @ S_cy @ plant.D @ E_w])
         C_cl = np.hstack([plant.C[wy_rows], DEcCz[wy_rows]])
-        D_cl = (plant.D @ E_w)[wy_rows]
-        try:
-            return StateSpaceModel(*observable_realization(A_cl, B_cl, C_cl, D_cl), ins, outs)
-        except MinimalityError:
-            continue
-    raise GenerationError("no minimal closed-loop reference after 50 draws")
+        return A_cl, B_cl, C_cl, (plant.D @ E_w)[wy_rows]
+
+    return _stable_minimal(draw, ins, outs, "closed-loop reference")
 
 
 def random_reference_model(q: int, n: int, rng: np.random.Generator) -> StateSpaceModel:
@@ -216,20 +226,16 @@ def random_sub_behavior_model(
     # channels: free inputs stay inputs; tied inputs and the original
     # outputs become outputs of the sub-behavior
     ins, outs = model.input_picks[:m_sub], model.input_picks[m_sub:] + model.output_picks
-    for attempt in range(50):
-        K = rng.standard_normal((model.m - m_sub, model.n)) * 0.6**attempt
+
+    def draw(gain: float):
+        K = rng.standard_normal((model.m - m_sub, model.n)) * gain
         G = rng.standard_normal((model.m - m_sub, m_sub))
         A_s = model.A + model.B @ E_r @ K
-        if A_s.size and np.max(np.abs(np.linalg.eigvals(A_s))) >= 0.95:
-            continue
         B_s = model.B @ (E_s + E_r @ G)
         C_s = np.vstack([K, model.C + model.D @ E_r @ K])
-        D_s = np.vstack([G, model.D @ (E_s + E_r @ G)])
-        try:
-            return StateSpaceModel(*observable_realization(A_s, B_s, C_s, D_s), ins, outs)
-        except MinimalityError:
-            continue
-    raise GenerationError("no minimal sub-behavior after 50 draws")
+        return A_s, B_s, C_s, np.vstack([G, model.D @ (E_s + E_r @ G)])
+
+    return _stable_minimal(draw, ins, outs, "sub-behavior")
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +324,7 @@ def evaluate_case(case: Case, cfg: HarnessConfig = HarnessConfig()) -> CaseResul
     if case.kind == "closed_loop" and not vm.implementable:
         failures.append("model_positive")
     if vd.implementable:
+        # flat, stricter than is_subspace_of's tol*(1 + ||Q||_F): folding it in would loosen it
         if max(vd.residual_hidden_in_ref, vd.residual_ref_in_plant) > DEFAULT_RESIDUAL_TOL:
             failures.append("certificate_residuals")
     if vm.implementable and vd.implementable:
@@ -342,7 +349,7 @@ def run_batch(
     base_seed: int = 0,
     cfg: HarnessConfig = HarnessConfig(),
 ) -> dict:
-    """Alternate implementable/adversarial cases and collect a JSON-able report.
+    """Alternate implementable/adversarial cases and collect the `proptest` report.
 
     `failure_counts` maps each check name to the number of cases failing it;
     cases that raised count under "exception".  An error names the
@@ -374,4 +381,5 @@ def run_batch(
         "passes": sum(1 for r in results if r.passed),
         "failures": failures,
         "failure_counts": dict(sorted(failure_counts.items())),
+        "base_seed": base_seed,
     }

@@ -8,9 +8,11 @@ operations act on the window space of a basis.  A section of a basis
 (:func:`section`) is the one primitive for "the vectors of a subspace that
 satisfy a constraint": the hidden behavior (the section of a joint basis's
 w rows by its c rows) and the intersection (:func:`intersect`) are both
-sections.  The row span of a basis (:func:`row_span`) is the one
-coordinate projection: the uncontrolled behavior P_w, the closed loop's w
-rows and a controller's c rows are all row spans.  Everything is
+sections.  :func:`is_subspace_of` is the one inclusion test, of the verdict
+chain N ⊆ R ⊆ P_w and of an intersection in its inputs.  The row span of a
+basis (:func:`row_span`) is the one coordinate projection: the uncontrolled
+behavior P_w, the closed loop's w rows and a controller's c rows are all row
+spans.  Everything is
 SVD-based, through the one routine :func:`svd`, which factors the transpose
 where LAPACK's gesdd does not converge; numpy factors empty matrices, so no
 function special-cases them.  Every rank decision reads the one rule
@@ -246,27 +248,28 @@ def projector_onto(B: BehaviorBasis) -> Projector:
     return Projector(B)
 
 
+def _same_ambient(B1: BehaviorBasis, B2: BehaviorBasis) -> None:
+    if B1.ambient_dim != B2.ambient_dim:
+        raise DimensionError(f"ambient dims differ: {B1.ambient_dim} vs {B2.ambient_dim}")
+
+
 def intersect(PV: Projector, PW: Projector) -> Projector:
     """Orthogonal projector onto the intersection of two subspaces.
 
     V ∩ W is the :func:`section` of Q_V by (I - Q_W Q_W^T) Q_V, all O(d r^2)
     on the two bases; a pair at principal angle theta leaves sin(theta) in
-    that constraint.  The image is checked to lie inside both inputs.  The
-    check raises NumericalDegeneracyError, rather than rounding silently, when
-    angles whose sines the rank cutoff drops add up (Frobenius norm) to more
-    than the residual tolerance.
+    that constraint.  :func:`is_subspace_of` checks the image in both
+    inputs and raises NumericalDegeneracyError, rather than rounding
+    silently, when angles whose sines the rank cutoff drops add up
+    (Frobenius norm) to more than the residual tolerance.
     """
-    if PV.basis.ambient_dim != PW.basis.ambient_dim:
-        raise DimensionError(
-            f"ambient dims differ: {PV.basis.ambient_dim} vs {PW.basis.ambient_dim}"
-        )
+    _same_ambient(PV.basis, PW.basis)
     QV, QW = PV.basis.basis, PW.basis.basis
     inter = section(QV, QV - QW @ (QW.T @ QV))
-    Q = inter.basis
-    defect = max(float(np.linalg.norm(Q - B @ (B.T @ Q))) for B in (QV, QW))
-    if defect > DEFAULT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(Q))):
+    inside = [is_subspace_of(inter, B) for B in (PV.basis, PW.basis)]
+    if not all(ok for ok, _ in inside):
         raise NumericalDegeneracyError(
-            f"intersection image not inside both inputs: defect {defect:.3e}"
+            f"intersection image not inside both inputs: defect {max(r for _, r in inside):.3e}"
         )
     return Projector(inter)
 
@@ -277,10 +280,7 @@ def is_subspace_of(Bsub: BehaviorBasis, Bsup: BehaviorBasis) -> tuple[bool, floa
     The residual is ||(I - P_sup) Q_sub||_F; inclusion holds when it stays
     below DEFAULT_RESIDUAL_TOL * (1 + ||Q_sub||_F), a fixed rule.
     """
-    if Bsub.ambient_dim != Bsup.ambient_dim:
-        raise DimensionError(
-            f"ambient dims differ: {Bsub.ambient_dim} vs {Bsup.ambient_dim}"
-        )
+    _same_ambient(Bsub, Bsup)
     Q, Qs = Bsub.basis, Bsup.basis
     residual = float(np.linalg.norm(Q - Qs @ (Qs.T @ Q)))
     return residual <= DEFAULT_RESIDUAL_TOL * (1.0 + float(np.linalg.norm(Q))), residual
@@ -295,10 +295,7 @@ def principal_angles(B1: BehaviorBasis, B2: BehaviorBasis) -> np.ndarray:
     angles under ~1.5e-8.  The list has min(dim1, dim2) entries; subspace
     equality means equal dims and max angle below tolerance.
     """
-    if B1.ambient_dim != B2.ambient_dim:
-        raise DimensionError(
-            f"ambient dims differ: {B1.ambient_dim} vs {B2.ambient_dim}"
-        )
+    _same_ambient(B1, B2)
     Q1, Q2 = B1.basis, B2.basis
     M = Q1.T @ Q2
     cosines = svd(M, compute_uv=False)  # nonincreasing

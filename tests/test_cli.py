@@ -51,6 +51,18 @@ def check_args(paths, plant_key, lag, n_plant, extra=()):
     ]
 
 
+def second_name(path, how, tmp_path, monkeypatch) -> str:
+    """The file `path` named as given, relative to the working directory, or by a symlink."""
+    if how == "relative":
+        monkeypatch.chdir(path.parent)
+        return path.name
+    if how == "symlink":
+        link = tmp_path / f"link_to_{path.name}"
+        link.symlink_to(path)
+        return str(link)
+    return str(path)
+
+
 class TestSimulate:
     def test_writes_expected_shape(self, tmp_path, fixtures, capsys):
         out = tmp_path / "sim.csv"
@@ -107,6 +119,20 @@ class TestSimulate:
         assert code == 2 and stdout == ""
         assert err.startswith("error: trajectory sample ") and err.endswith(" is not finite\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["same", "relative", "symlink"])
+    def test_out_naming_the_model_is_an_input_error(
+        self, tmp_path, fixtures, capsys, monkeypatch, how
+    ):
+        model = fixtures["static_model"]
+        before = model.read_bytes()
+        out = second_name(model, how, tmp_path, monkeypatch)
+        code, stdout, err = run_cli(
+            ["simulate", "--model", str(model), "--T", "5", "--out", out], capsys
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and out in err and str(model) in err
+        assert model.read_bytes() == before
 
     def test_missing_model_file(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -402,6 +428,35 @@ class TestSynth:
         assert code == 2
         assert stdout == ""
         assert stderr.startswith("error:") and ".json" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("how", ["same", "relative", "symlink"])
+    @pytest.mark.parametrize("key", ["static_data", "ref"])
+    def test_out_naming_an_input_is_an_input_error(
+        self, tmp_path, fixtures, capsys, monkeypatch, key, how
+    ):
+        path = fixtures[key]
+        before = path.read_bytes()
+        out = second_name(path, how, tmp_path, monkeypatch)
+        args = check_args(fixtures, "static_data", 0, 0)
+        args[0] = "synth"
+        code, stdout, err = run_cli(args + ["--out", out], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and out in err and str(path) in err
+        assert path.read_bytes() == before
+        assert not path.with_suffix(".json").exists()  # no sidecar either
+
+    def test_sidecar_naming_an_input_is_an_input_error(self, tmp_path, fixtures, capsys):
+        # --out refdata.csv puts its sidecar at refdata.json, the --ref file
+        ref = tmp_path / "refdata.json"
+        ref.write_bytes(fixtures["ref"].read_bytes())
+        out = tmp_path / "refdata.csv"
+        args = check_args(dict(fixtures, ref=ref), "static_data", 0, 0)
+        args[0] = "synth"
+        code, stdout, err = run_cli(args + ["--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and str(ref) in err
+        assert ref.read_bytes() == fixtures["ref"].read_bytes()
         assert not out.exists()
 
     def test_numerical_degeneracy_is_an_input_error(

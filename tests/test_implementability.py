@@ -566,6 +566,23 @@ class TestConsistencyProperties:
         with pytest.raises(ValueError, match="seed"):
             harness.run_batch(n_cases, base_seed)
 
+    def test_batch_report_holds_its_base_seed(self):
+        report = harness.run_batch(2, 5)
+        assert report["base_seed"] == 5
+        assert list(report)[-1] == "base_seed"  # the key the CLI printed last
+
+    def test_generators_raise_when_every_draw_is_unstable(self, monkeypatch):
+        # spectral radius 1 on every draw: all 50 draws are rejected
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: np.ones(len(A)))
+        plant, partition = harness.integrator_plant()
+        rng = np.random.default_rng(0)
+        with pytest.raises(
+            GenerationError, match="^no minimal closed-loop reference after 50 draws$"
+        ):
+            harness.feedback_reference_model(plant, partition, 1, rng)
+        with pytest.raises(GenerationError, match="^no minimal sub-behavior after 50 draws$"):
+            harness.random_sub_behavior_model(plant, 0, rng)
+
     def test_monotone_in_horizon(self):
         # implementable at L+1 implies implementable at L
         checked = 0
